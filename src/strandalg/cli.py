@@ -137,7 +137,7 @@ def _cmd_algebra(args, report):
         which = ["d2", "leibniz", "assoc", "closure", "idempotents", "op", "directed"]
     law_names = [c for c in which if c in ("d2", "leibniz", "assoc", "closure", "idempotents")]
     if law_names:
-        rep = check_algebra(ds, args.k, checks=tuple(law_names))
+        rep = check_algebra(ds, args.k, checks=tuple(law_names), algebra=alg)
         for name in law_names:
             report.add_check(name, rep.laws[name], "; ".join(rep.failures[:1]))
     if "op" in which:

@@ -44,7 +44,16 @@ class TruncationUnsound(RuntimeError):
 def _delta_depth(depth: int | None) -> int:
     if depth is not None:
         return depth
-    return int(os.environ.get(DEPTH_ENV, DEFAULT_DEPTH))
+    raw = os.environ.get(DEPTH_ENV)
+    if raw is None:
+        return DEFAULT_DEPTH
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ModuleFormatError(f"{DEPTH_ENV}={raw!r} is not a non-negative integer")
+    return value
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:
@@ -274,12 +283,13 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
     gens = tuple(f"b{i}" for i in range(alg.dim))
     idem = {f"b{i}": alg.target_idempotent(i) for i in range(alg.dim)}
     ops: dict = {}
+    aplus = frozenset(alg.nonidempotent_indices())
     for i in range(alg.dim):
         d = alg.diff_basis(i)
         if d:
             ops[(f"b{i}", ())] = frozenset(f"b{j}" for j in d)
-        for a in alg.nonidempotent_indices():
-            if alg.basis[i].t != alg.basis[a].s:
+        for a in alg.by_source[alg.basis[i].t]:
+            if a not in aplus:
                 continue
             out = alg.mul_basis(i, a)
             if out:
@@ -362,7 +372,11 @@ def nilpotence_order(alg: Algebra) -> int:
     j = 1
     while cur:
         nxt = frozenset(
-            c for i in cur for a in aplus for c in alg.mul_basis(i, a)
+            c
+            for i in cur
+            for a in alg.by_source[alg.basis[i].t]
+            if a in aplus
+            for c in alg.mul_basis(i, a)
         )
         if nxt == cur:
             raise TruncationUnsound("non-idempotent basis elements are not nilpotent")

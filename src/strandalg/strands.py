@@ -17,6 +17,7 @@ intervals, the positions, and the matching.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -26,6 +27,9 @@ from .surface import DecoratedSurface, analyze_surface, boundary_connected_sum, 
 
 class NotInMatchedSpan(ValueError):
     """A GF(2) sum of strand diagrams is not a sum of matched expansions."""
+
+
+_ZERO: frozenset = frozenset()
 
 
 class BasisElement(NamedTuple):
@@ -89,8 +93,12 @@ class Algebra:
         self.basis: tuple[BasisElement, ...] = tuple(self._enumerate_basis())
         self.index: dict[BasisElement, int] = {b: i for i, b in enumerate(self.basis)}
         self.blocks: dict[tuple, list[int]] = {}
+        # source idempotent -> ascending basis indices with that source; a
+        # product a_i * a_j can be nonzero only for j in by_source[t(a_i)]
+        self.by_source: dict[tuple, list[int]] = {}
         for i, b in enumerate(self.basis):
             self.blocks.setdefault((b.s, b.t), []).append(i)
+            self.by_source.setdefault(b.s, []).append(i)
         self._expansions: list[frozenset] = [self._expand(b) for b in self.basis]
         self._owner: dict[tuple, int] = {}
         for i, exp in enumerate(self._expansions):
@@ -101,12 +109,7 @@ class Algebra:
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
-        arc_of = {}
-        for i, (a, b) in enumerate(ds.arcs):
-            arc_of[a] = i
-            arc_of[b] = i
-        interval_arcs = tuple(tuple(arc_of[t] for t in iv) for iv in ds.intervals())
-        return cls(interval_arcs, k, n_arcs=ds.n_arcs)
+        return cls(_interval_arcs(ds), k, n_arcs=ds.n_arcs)
 
     # -- basis -------------------------------------------------------------
 
@@ -182,6 +185,21 @@ class Algebra:
             "chords": sorted(list(c) for c in b.assign if c is not None),
             "markers": sorted(b.marked),
         }
+
+    def describe(self, i: int) -> str:
+        """Basis element i as descriptor JSON, for failure witnesses."""
+        return json.dumps(self.descriptor(self.basis[i]))
+
+    def describe_sum(self, support) -> str:
+        """A GF(2) sum of basis elements as a JSON list of descriptors."""
+        return "[" + ", ".join(self.describe(i) for i in sorted(support)) + "]"
+
+    def composable_pairs(self):
+        """Every (i, j) with target(a_i) == source(a_j), in lexicographic
+        order; all other products vanish."""
+        for i, b in enumerate(self.basis):
+            for j in self.by_source[b.t]:
+                yield i, j
 
     # -- strand diagrams ----------------------------------------------------
 
@@ -277,7 +295,7 @@ class Algebra:
                 raise NotInMatchedSpan(f"diagram {d} matches no basis element")
             exp = self._expansions[i]
             if not exp <= rem:
-                raise NotInMatchedSpan(f"expansion of basis element {i} only partially present")
+                raise NotInMatchedSpan(f"expansion of {self.describe(i)} only partially present")
             rem -= exp
             out.add(i)
         return frozenset(out)
@@ -299,17 +317,15 @@ class Algebra:
         key = (i, j)
         cached = self._mul.get(key)
         if cached is None:
-            a, b = self.basis[i], self.basis[j]
-            if a.t != b.s:
-                cached = frozenset()
-            else:
-                acc: set = set()
-                for d1 in self._expansions[i]:
-                    for d2 in self._expansions[j]:
-                        comp = self._compose(d1, d2)
-                        if comp is not None:
-                            acc ^= {comp}
-                cached = self.contract(acc)
+            if self.basis[i].t != self.basis[j].s:
+                return _ZERO
+            acc: set = set()
+            for d1 in self._expansions[i]:
+                for d2 in self._expansions[j]:
+                    comp = self._compose(d1, d2)
+                    if comp is not None:
+                        acc ^= {comp}
+            cached = self.contract(acc)
             self._mul[key] = cached
         return cached
 
@@ -347,13 +363,7 @@ class Algebra:
     def dump(self) -> dict:
         """Basis descriptors, differential, and sparse product triples."""
         diff = [[i, sorted(self.diff_basis(i))] for i in range(self.dim) if self.diff_basis(i)]
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.basis[i].t != self.basis[j].s:
-                    continue
-                for out in sorted(self.mul_basis(i, j)):
-                    triples.append([i, j, out])
+        triples = [[i, j, out] for i, j in self.composable_pairs() for out in sorted(self.mul_basis(i, j))]
         return {
             "k": self.k,
             "n_arcs": self.n_arcs,
@@ -405,6 +415,14 @@ class AlgebraElement:
 # surface-level operations
 
 
+def _interval_arcs(ds: DecoratedSurface) -> tuple:
+    arc_of = {}
+    for i, (a, b) in enumerate(ds.arcs):
+        arc_of[a] = i
+        arc_of[b] = i
+    return tuple(tuple(arc_of[t] for t in iv) for iv in ds.intervals())
+
+
 def enumerate_chords(ds: DecoratedSurface) -> dict:
     """The chord table chi[i][j]: all positively oriented boundary chords from
     the endpoints of arc i to the endpoints of arc j."""
@@ -429,24 +447,30 @@ class AlgebraCheckReport:
         return all(self.laws.values())
 
 
-def check_algebra(ds: DecoratedSurface, k: int, checks=("d2", "leibniz", "assoc", "closure", "idempotents")) -> AlgebraCheckReport:
-    """Verify the differential-algebra laws over the whole basis."""
-    alg = Algebra.from_surface(ds, k)
+def check_algebra(
+    ds: DecoratedSurface,
+    k: int,
+    checks=("d2", "leibniz", "assoc", "closure", "idempotents"),
+    algebra: Algebra | None = None,
+) -> AlgebraCheckReport:
+    """Verify the differential-algebra laws over the whole basis.
+
+    Pass `algebra` to check an already built A(ds, k) and reuse its filled
+    tables instead of building it again."""
+    if algebra is None:
+        algebra = Algebra.from_surface(ds, k)
+    elif (algebra.interval_arcs, algebra.k, algebra.n_arcs) != (_interval_arcs(ds), k, ds.n_arcs):
+        raise ValueError(f"algebra is not the algebra of this surface at k={k}")
+    alg = algebra
     laws: dict[str, bool] = {}
     failures: list[str] = []
-    compat = [
-        (i, j)
-        for i in range(alg.dim)
-        for j in range(alg.dim)
-        if alg.basis[i].t == alg.basis[j].s
-    ]
 
     if "closure" in checks:
         ok = True
         try:
             for i in range(alg.dim):
                 alg.diff_basis(i)
-            for i, j in compat:
+            for i, j in alg.composable_pairs():
                 alg.mul_basis(i, j)
         except NotInMatchedSpan as e:
             ok = False
@@ -454,52 +478,63 @@ def check_algebra(ds: DecoratedSurface, k: int, checks=("d2", "leibniz", "assoc"
         laws["closure"] = ok
 
     if "d2" in checks:
-        bad = [i for i in range(alg.dim) if alg.diff_support(alg.diff_basis(i))]
+        bad = [(i, r) for i in range(alg.dim) if (r := alg.diff_support(alg.diff_basis(i)))]
         laws["d2"] = not bad
-        failures += [f"d2 fails on basis {i}" for i in bad[:3]]
+        failures += [f"d2 fails on {alg.describe(i)}: residue {alg.describe_sum(r)}" for i, r in bad[:3]]
 
     if "leibniz" in checks:
         bad = []
-        for i, j in compat:
+        for i, j in alg.composable_pairs():
             lhs = alg.diff_support(alg.mul_basis(i, j))
             rhs = alg.mul_support(alg.diff_basis(i), frozenset([j])) ^ alg.mul_support(
                 frozenset([i]), alg.diff_basis(j)
             )
             if lhs != rhs:
-                bad.append((i, j))
+                bad.append((i, j, lhs ^ rhs))
         laws["leibniz"] = not bad
-        failures += [f"leibniz fails on {p}" for p in bad[:3]]
+        failures += [
+            f"leibniz fails on ({alg.describe(i)}, {alg.describe(j)}): residue {alg.describe_sum(r)}"
+            for i, j, r in bad[:3]
+        ]
 
     if "assoc" in checks:
         bad = []
-        for i, j in compat:
+        for i, j in alg.composable_pairs():
             ij = alg.mul_basis(i, j)
-            for l in range(alg.dim):
-                if alg.basis[j].t != alg.basis[l].s:
-                    continue
+            for l in alg.by_source[alg.basis[j].t]:
                 lhs = alg.mul_support(ij, frozenset([l]))
                 rhs = alg.mul_support(frozenset([i]), alg.mul_basis(j, l))
                 if lhs != rhs:
-                    bad.append((i, j, l))
+                    bad.append((i, j, l, lhs ^ rhs))
         laws["assoc"] = not bad
-        failures += [f"assoc fails on {t}" for t in bad[:3]]
+        failures += [
+            f"assoc fails on ({alg.describe(i)}, {alg.describe(j)}, {alg.describe(l)}): "
+            f"residue {alg.describe_sum(r)}"
+            for i, j, l, r in bad[:3]
+        ]
 
     if "idempotents" in checks:
         ok = True
         idems = alg.idempotents()
         for a, b in itertools.product(idems, idems):
-            prod = a * b
             expect = a.support if a.support == b.support else frozenset()
-            if prod.support != expect:
+            residue = (a * b).support ^ expect
+            if residue:
                 ok = False
-                failures.append("idempotent orthogonality fails")
-        unit = frozenset().union(*(e.support for e in idems)) if idems else frozenset()
-        for i in range(alg.dim):
-            if alg.mul_support(unit, frozenset([i])) != frozenset([i]) or alg.mul_support(
-                frozenset([i]), unit
-            ) != frozenset([i]):
+                (ea,), (eb,) = a.support, b.support
+                failures.append(
+                    f"idempotent orthogonality fails on ({alg.describe(ea)}, {alg.describe(eb)}): "
+                    f"residue {alg.describe_sum(residue)}"
+                )
+        # a_i sits between I(s) and I(t); its products with every other
+        # idempotent vanish by composability, which orthogonality covers
+        idem_of = {s: alg.idempotent_index(s) for s in alg.by_source}
+        for i, b in enumerate(alg.basis):
+            one = frozenset([i])
+            residue = (alg.mul_basis(idem_of[b.s], i) ^ one) or (alg.mul_basis(i, idem_of[b.t]) ^ one)
+            if residue:
                 ok = False
-                failures.append(f"unit law fails on basis {i}")
+                failures.append(f"unit law fails on {alg.describe(i)}: residue {alg.describe_sum(residue)}")
                 break
         if len(idems) != comb(alg.n_arcs, k):
             ok = False
@@ -561,20 +596,21 @@ def opposite_check(ds: DecoratedSurface, k: int, verbose: bool = False):
 
     for i in range(alg.dim):
         lhs = frozenset(op[x] for x in alg.diff_basis(i))
-        if lhs != ralg.diff_basis(op[i]):
-            failures.append(f"differential not intertwined at basis {i}")
+        rhs = ralg.diff_basis(op[i])
+        if lhs != rhs:
+            failures.append(
+                f"differential not intertwined at {alg.describe(i)}: residue {ralg.describe_sum(lhs ^ rhs)}"
+            )
             break
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if alg.basis[i].t != alg.basis[j].s:
-                continue
-            lhs = frozenset(op[x] for x in alg.mul_basis(i, j))
-            if lhs != ralg.mul_support(frozenset([op[j]]), frozenset([op[i]])):
-                failures.append(f"product not transposed at ({i},{j})")
-                break
-        else:
-            continue
-        break
+    for i, j in alg.composable_pairs():
+        lhs = frozenset(op[x] for x in alg.mul_basis(i, j))
+        rhs = ralg.mul_basis(op[j], op[i])
+        if lhs != rhs:
+            failures.append(
+                f"product not transposed at ({alg.describe(i)}, {alg.describe(j)}): "
+                f"residue {ralg.describe_sum(lhs ^ rhs)}"
+            )
+            break
 
     ok = not failures
     return (ok, failures) if verbose else ok
@@ -640,51 +676,55 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
     for bi, b in enumerate(asum.basis):
         halves = split_basis(b)
         if halves is None:
-            failures.append(f"basis element {bi} mixes sides")
+            failures.append(f"{asum.describe(bi)} mixes sides")
             break
         b1, b2 = halves
         k1 = len(b1.s)
         a1, a2 = algs1.get(k1), algs2.get(k - k1)
         if a1 is None or a2 is None or b1 not in a1.index or b2 not in a2.index:
-            failures.append(f"basis element {bi} does not split")
+            failures.append(f"{asum.describe(bi)} does not split")
             break
         pair_of.append((k1, a1.index[b1], a2.index[b2]))
     if len(set(pair_of)) != asum.dim:
         failures.append("basis bijection is not injective")
 
     if not failures:
+        index_of = {p: bi for bi, p in enumerate(pair_of)}
+
+        def residue(lhs, rhs) -> str:
+            return asum.describe_sum(index_of[p] for p in lhs ^ rhs)
+
         for bi in range(asum.dim):
             k1, i1, i2 = pair_of[bi]
             a1, a2 = algs1[k1], algs2[k - k1]
             lhs = {pair_of[x] for x in asum.diff_basis(bi)}
             rhs = {(k1, y, i2) for y in a1.diff_basis(i1)} ^ {(k1, i1, y) for y in a2.diff_basis(i2)}
             if lhs != rhs:
-                failures.append(f"differential not intertwined at {bi}")
+                failures.append(
+                    f"differential not intertwined at {asum.describe(bi)}: residue {residue(lhs, rhs)}"
+                )
                 break
 
     if not failures:
-        for bi in range(asum.dim):
-            for bj in range(asum.dim):
-                if asum.basis[bi].t != asum.basis[bj].s:
-                    continue
-                k1, i1, i2 = pair_of[bi]
-                l1, j1, j2 = pair_of[bj]
-                lhs = {pair_of[x] for x in asum.mul_basis(bi, bj)}
-                if k1 != l1:
-                    rhs = set()
-                else:
-                    a1, a2 = algs1[k1], algs2[k - k1]
-                    rhs = {
-                        (k1, u, v)
-                        for u in a1.mul_basis(i1, j1)
-                        for v in a2.mul_basis(i2, j2)
-                    }
-                if lhs != rhs:
-                    failures.append(f"product not intertwined at ({bi},{bj})")
-                    break
+        for bi, bj in asum.composable_pairs():
+            k1, i1, i2 = pair_of[bi]
+            l1, j1, j2 = pair_of[bj]
+            lhs = {pair_of[x] for x in asum.mul_basis(bi, bj)}
+            if k1 != l1:
+                rhs = set()
             else:
-                continue
-            break
+                a1, a2 = algs1[k1], algs2[k - k1]
+                rhs = {
+                    (k1, u, v)
+                    for u in a1.mul_basis(i1, j1)
+                    for v in a2.mul_basis(i2, j2)
+                }
+            if lhs != rhs:
+                failures.append(
+                    f"product not intertwined at ({asum.describe(bi)}, {asum.describe(bj)}): "
+                    f"residue {residue(lhs, rhs)}"
+                )
+                break
 
     ok = not failures
     return (ok, failures) if verbose else ok

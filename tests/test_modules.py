@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from strandalg.diagrams import cf_hat
 from strandalg.modules import (
     DepthExceeded,
     IdempotentMismatch,
+    ModuleFormatError,
     TruncationUnsound,
     TypeAModule,
     TypeDModule,
@@ -177,6 +179,14 @@ def test_box_depth_env_override(monkeypatch):
         box_tensor(m, n)
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", ""])
+def test_box_depth_env_rejects_bad_values(monkeypatch, value):
+    m, n = _looping_pair()
+    monkeypatch.setenv("STRANDALG_DELTA_DEPTH", value)
+    with pytest.raises(ModuleFormatError, match=re.escape(f"STRANDALG_DELTA_DEPTH={value!r}")):
+        box_tensor(m, n)
+
+
 # ---------------------------------------------------------------------------
 # morphism complex
 
@@ -299,3 +309,4 @@ def test_bundled_files_match_builders():
     built = dump_module(solid_torus_typeA(), {"surface": "../surfaces/torus.json", "k": 1})
     on_disk = json.loads((data_dir() / "modules" / "solid_torus_typeA.json").read_text())
     assert built == on_disk
+

@@ -1,4 +1,5 @@
 import itertools
+import json
 from math import comb
 
 import pytest
@@ -329,3 +330,208 @@ def test_d_squared_and_leibniz_property(alg):
                 frozenset([i]), alg.diff_basis(j)
             )
             assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the block index against an all-pairs reference scan
+
+
+def _all_pairs_scan(alg):
+    """Every composable pair, found by comparing all dim^2 basis pairs."""
+    return [(i, j) for i in range(alg.dim) for j in range(alg.dim) if alg.basis[i].t == alg.basis[j].s]
+
+
+def _reference_laws(alg, checks):
+    """The laws and failure witnesses of check_algebra, computed from the
+    all-pairs scan, with the sum of all idempotents as the unit."""
+    laws, failures = {}, []
+    pairs = _all_pairs_scan(alg)
+    after = {i: [] for i in range(alg.dim)}
+    for i, j in pairs:
+        after[i].append(j)
+    name, total = alg.describe, alg.describe_sum
+    if "closure" in checks:
+        laws["closure"] = True
+        try:
+            for i in range(alg.dim):
+                alg.diff_basis(i)
+            for i, j in pairs:
+                alg.mul_basis(i, j)
+        except NotInMatchedSpan as e:
+            laws["closure"] = False
+            failures.append(f"closure: {e}")
+    if "d2" in checks:
+        bad = [(i, r) for i in range(alg.dim) if (r := alg.diff_support(alg.diff_basis(i)))]
+        laws["d2"] = not bad
+        failures += [f"d2 fails on {name(i)}: residue {total(r)}" for i, r in bad[:3]]
+    if "leibniz" in checks:
+        bad = []
+        for i, j in pairs:
+            lhs = alg.diff_support(alg.mul_basis(i, j))
+            rhs = alg.mul_support(alg.diff_basis(i), frozenset([j])) ^ alg.mul_support(
+                frozenset([i]), alg.diff_basis(j)
+            )
+            if lhs != rhs:
+                bad.append((i, j, lhs ^ rhs))
+        laws["leibniz"] = not bad
+        failures += [f"leibniz fails on ({name(i)}, {name(j)}): residue {total(r)}" for i, j, r in bad[:3]]
+    if "assoc" in checks:
+        bad = []
+        for i, j in pairs:
+            for l in after[j]:
+                lhs = alg.mul_support(alg.mul_basis(i, j), frozenset([l]))
+                rhs = alg.mul_support(frozenset([i]), alg.mul_basis(j, l))
+                if lhs != rhs:
+                    bad.append((i, j, l, lhs ^ rhs))
+        laws["assoc"] = not bad
+        failures += [
+            f"assoc fails on ({name(i)}, {name(j)}, {name(l)}): residue {total(r)}" for i, j, l, r in bad[:3]
+        ]
+    if "idempotents" in checks:
+        laws["idempotents"] = True
+        idems = [alg.idempotent_index(s) for s in itertools.combinations(range(alg.n_arcs), alg.k)]
+        for e, f in itertools.product(idems, idems):
+            residue = alg.mul_basis(e, f) ^ (frozenset([e]) if e == f else frozenset())
+            if residue:
+                laws["idempotents"] = False
+                failures.append(f"idempotent orthogonality fails on ({name(e)}, {name(f)}): residue {total(residue)}")
+        unit = frozenset(idems)
+        for i in range(alg.dim):
+            one = frozenset([i])
+            residue = (alg.mul_support(unit, one) ^ one) or (alg.mul_support(one, unit) ^ one)
+            if residue:
+                laws["idempotents"] = False
+                failures.append(f"unit law fails on {name(i)}: residue {total(residue)}")
+                break
+    return laws, failures
+
+
+def _reference_dump(alg):
+    """dump() with its product triples taken from the all-pairs scan."""
+    triples = [[i, j, out] for i, j in _all_pairs_scan(alg) for out in sorted(alg.mul_basis(i, j))]
+    return json.dumps({**alg.dump(), "product": triples}, sort_keys=True)
+
+
+ALL_LAWS = ("d2", "leibniz", "assoc", "closure", "idempotents")
+
+
+def test_block_index_matches_all_pairs_scan():
+    cases = [(ds, k, ALL_LAWS) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    cases += [(double_cover_decoration(3), k, ALL_LAWS) for k in (0, 1, 2)]
+    cases += [(one_disc_decoration(3), k, ALL_LAWS) for k in (0, 1)]
+    # assoc at onedisc_g3 k=2 (dim 1589) visits 2.6 M triples, about 6 s per side
+    cases += [(one_disc_decoration(3), 2, ("d2", "leibniz", "closure", "idempotents"))]
+    for ds, k, laws in cases:
+        alg = Algebra.from_surface(ds, k)
+        assert list(alg.composable_pairs()) == _all_pairs_scan(alg)
+        rep = check_algebra(ds, k, checks=laws, algebra=alg)
+        assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
+        assert rep.ok
+        assert json.dumps(alg.dump(), sort_keys=True) == _reference_dump(alg)
+
+
+def test_check_algebra_rejects_a_foreign_algebra():
+    with pytest.raises(ValueError):
+        check_algebra(TORUS, 1, algebra=Algebra.from_surface(TORUS, 2))
+    with pytest.raises(ValueError):
+        check_algebra(DISC1, 1, algebra=Algebra.from_surface(TORUS, 1))
+
+
+# ---------------------------------------------------------------------------
+# the checkers catch a corrupted structure constant
+
+
+def _torus_element(alg, **desc):
+    (i,) = alg.from_descriptor(desc).support
+    return i
+
+
+def _filled_torus(k):
+    alg = Algebra.from_surface(TORUS, k)
+    assert check_algebra(TORUS, k, algebra=alg).ok
+    return alg
+
+
+def _opposite_of(alg, monkeypatch):
+    """opposite_check(TORUS, k) run against the given torus algebra."""
+    build = Algebra.from_surface.__func__
+
+    def from_surface(cls, ds, k):
+        return alg if (ds, k) == (TORUS, alg.k) else build(cls, ds, k)
+
+    monkeypatch.setattr(Algebra, "from_surface", classmethod(from_surface))
+    return opposite_check(TORUS, alg.k, verbose=True)
+
+
+@pytest.mark.parametrize(
+    "k, left, right, witness, opposite",
+    [
+        (
+            1,
+            {"chords": [[0, 2]]},
+            {"chords": [[2, 3]]},
+            'assoc fails on ({"chords": [[0, 1]], "markers": []}, {"chords": [[1, 2]], "markers": []}, '
+            '{"chords": [[2, 3]], "markers": []}): residue [{"chords": [[0, 3]], "markers": []}]',
+            'product not transposed at ({"chords": [[0, 2]], "markers": []}, {"chords": [[2, 3]], "markers": []}): '
+            'residue [{"chords": [[0, 3]], "markers": []}]',
+        ),
+        (
+            2,
+            {"chords": [[0, 2]], "markers": [1]},
+            {"chords": [[1, 2], [2, 3]]},
+            'leibniz fails on ({"chords": [[0, 2]], "markers": [1]}, {"chords": [[1, 2], [2, 3]], "markers": []}): '
+            'residue [{"chords": [[0, 2], [1, 3]], "markers": []}]',
+            'product not transposed at ({"chords": [[0, 2]], "markers": [1]}, '
+            '{"chords": [[1, 2], [2, 3]], "markers": []}): residue [{"chords": [[0, 3], [1, 2]], "markers": []}]',
+        ),
+    ],
+    ids=["k1", "k2"],
+)
+def test_corrupted_product_is_caught(k, left, right, witness, opposite, monkeypatch):
+    alg = _filled_torus(k)
+    i, j = _torus_element(alg, **left), _torus_element(alg, **right)
+    assert alg._mul[i, j]
+    alg._mul[i, j] ^= {min(alg._mul[i, j])}
+
+    rep = check_algebra(TORUS, k, algebra=alg)
+    assert not (rep.laws["assoc"] and rep.laws["leibniz"])
+    assert witness in rep.failures
+    assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
+
+    assert _opposite_of(alg, monkeypatch) == (False, [opposite])
+
+
+@pytest.mark.parametrize(
+    "k, target, flip, witness, opposite",
+    [
+        (
+            1,
+            {"chords": [[0, 3]]},
+            {"chords": [[0, 1]]},
+            'leibniz fails on ({"chords": [[0, 2]], "markers": []}, {"chords": [[2, 3]], "markers": []}): '
+            'residue [{"chords": [[0, 1]], "markers": []}]',
+            'differential not intertwined at {"chords": [[0, 3]], "markers": []}: '
+            'residue [{"chords": [[2, 3]], "markers": []}]',
+        ),
+        (
+            2,
+            {"chords": [[0, 3], [1, 2]]},
+            {"chords": [[0, 2], [1, 3]]},
+            'leibniz fails on ({"chords": [[0, 2]], "markers": [1]}, {"chords": [[1, 2], [2, 3]], "markers": []}): '
+            'residue [{"chords": [[0, 2], [1, 3]], "markers": []}]',
+            'differential not intertwined at {"chords": [[0, 3], [1, 2]], "markers": []}: '
+            'residue [{"chords": [[0, 2], [1, 3]], "markers": []}]',
+        ),
+    ],
+    ids=["k1", "k2"],
+)
+def test_corrupted_differential_is_caught(k, target, flip, witness, opposite, monkeypatch):
+    alg = _filled_torus(k)
+    alg._diff[_torus_element(alg, **target)] ^= {_torus_element(alg, **flip)}
+
+    rep = check_algebra(TORUS, k, algebra=alg)
+    assert not (rep.laws["d2"] and rep.laws["leibniz"])
+    assert witness in rep.failures
+    assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
+
+    assert _opposite_of(alg, monkeypatch) == (False, [opposite])
