@@ -42,18 +42,59 @@ class ClosedDiagram:
         return next(i for i, r in enumerate(self.regions) if r.has_z)
 
 
+def _get(obj, key: str, where: str, default=None):
+    if not isinstance(obj, dict):
+        raise DiagramError(f"{where} is not an object")
+    if key not in obj:
+        if default is None:
+            raise DiagramError(f"{where} lacks field {key!r}")
+        return default
+    return obj[key]
+
+
+def _int(obj, key: str, where: str, default=None) -> int:
+    value = _get(obj, key, where, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError) as e:
+        raise DiagramError(f"{where}: field {key!r} is not an integer: {value!r}") from e
+
+
+def _list(obj, key: str, where: str) -> list:
+    value = _get(obj, key, where)
+    if not isinstance(value, list):
+        raise DiagramError(f"{where}: field {key!r} is not a list")
+    return value
+
+
+def _corner(c, where: str) -> tuple[int, int]:
+    try:
+        p, q = c
+        return int(p), int(q)
+    except (TypeError, ValueError) as e:
+        raise DiagramError(f"{where}: field 'corners' holds {c!r}, not a pair of integers") from e
+
+
 def parse_diagram(text: str) -> ClosedDiagram:
-    data = json.loads(text)
-    points = tuple((int(p["alpha"]), int(p["beta"])) for p in data["points"])
+    """Parse and validate a diagram; malformed input raises DiagramError
+    naming the offending field."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DiagramError(f"not valid JSON: {e}") from e
+    points = tuple(
+        (_int(p, "alpha", f"point {n}"), _int(p, "beta", f"point {n}"))
+        for n, p in enumerate(_list(data, "points", "diagram"))
+    )
     regions = tuple(
         Region(
-            corners=tuple((int(p), int(q)) for p, q in r["corners"]),
-            has_z=bool(r.get("has_z", False)),
-            genus=int(r.get("genus", 0)),
+            corners=tuple(_corner(c, f"region {n}") for c in _list(r, "corners", f"region {n}")),
+            has_z=bool(_get(r, "has_z", f"region {n}", False)),
+            genus=_int(r, "genus", f"region {n}", 0),
         )
-        for r in data["regions"]
+        for n, r in enumerate(_list(data, "regions", "diagram"))
     )
-    d = ClosedDiagram(int(data["genus"]), points, regions)
+    d = ClosedDiagram(_int(data, "genus", "diagram"), points, regions)
     validate_diagram(d)
     return d
 

@@ -106,6 +106,12 @@ class Algebra:
                 self._owner[d] = i
         self._diff: dict[int, frozenset] = {}
         self._mul: dict[tuple[int, int], frozenset] = {}
+        # per basis element, filled on first use by mul_basis: as a left
+        # factor, (diagram, end set, inversions) per expansion diagram; as a
+        # right factor, start set -> [(end of each strand by its start,
+        # inversions)]
+        self._as_left: dict[int, list] = {}
+        self._as_right: dict[int, dict] = {}
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
@@ -246,15 +252,6 @@ class Algebra:
             if inv0 - self.inversions(res) == 1:
                 yield res
 
-    def _compose(self, d1, d2):
-        if frozenset(q for _, q in d1) != frozenset(p for p, _ in d2):
-            return None
-        step = dict(d2)
-        comp = _sorted_diagram((p, step[q]) for p, q in d1)
-        if self.inversions(comp) != self.inversions(d1) + self.inversions(d2):
-            return None
-        return comp
-
     def interpret(self, diagram) -> BasisElement | None:
         """The unique basis element whose expansion contains the diagram, if
         any."""
@@ -319,15 +316,34 @@ class Algebra:
         if cached is None:
             if self.basis[i].t != self.basis[j].s:
                 return _ZERO
+            # two diagrams compose only where the ends of the first are the
+            # starts of the second, and only if their inversion counts add
             acc: set = set()
-            for d1 in self._expansions[i]:
-                for d2 in self._expansions[j]:
-                    comp = self._compose(d1, d2)
-                    if comp is not None:
+            right = self._right_factor(j)
+            for d1, ends, inv1 in self._left_factor(i):
+                for step, inv2 in right.get(ends, ()):
+                    comp = _sorted_diagram((p, step[q]) for p, q in d1)
+                    if self.inversions(comp) == inv1 + inv2:
                         acc ^= {comp}
             cached = self.contract(acc)
             self._mul[key] = cached
         return cached
+
+    def _left_factor(self, i: int) -> list:
+        out = self._as_left.get(i)
+        if out is None:
+            out = [(d, frozenset(q for _, q in d), self.inversions(d)) for d in self._expansions[i]]
+            self._as_left[i] = out
+        return out
+
+    def _right_factor(self, j: int) -> dict:
+        out = self._as_right.get(j)
+        if out is None:
+            out = {}
+            for d in self._expansions[j]:
+                out.setdefault(frozenset(p for p, _ in d), []).append((dict(d), self.inversions(d)))
+            self._as_right[j] = out
+        return out
 
     def diff_support(self, support: frozenset) -> frozenset:
         acc: frozenset = frozenset()
@@ -482,13 +498,23 @@ def check_algebra(
         laws["d2"] = not bad
         failures += [f"d2 fails on {alg.describe(i)}: residue {alg.describe_sum(r)}" for i, r in bad[:3]]
 
+    if "leibniz" in checks or "assoc" in checks:
+        # the nonzero rows of the product table under check: right[i][j] is
+        # a_i * a_j for every composable j with a nonzero product
+        right: list[dict[int, frozenset]] = [{} for _ in range(alg.dim)]
+        for i, j in alg.composable_pairs():
+            if p := alg.mul_basis(i, j):
+                right[i][j] = p
+
     if "leibniz" in checks:
         bad = []
         for i, j in alg.composable_pairs():
-            lhs = alg.diff_support(alg.mul_basis(i, j))
-            rhs = alg.mul_support(alg.diff_basis(i), frozenset([j])) ^ alg.mul_support(
-                frozenset([i]), alg.diff_basis(j)
-            )
+            lhs = alg.diff_support(right[i].get(j, _ZERO))
+            rhs = _ZERO
+            for x in alg.diff_basis(i):
+                rhs ^= right[x].get(j, _ZERO)
+            for y in alg.diff_basis(j):
+                rhs ^= right[i].get(y, _ZERO)
             if lhs != rhs:
                 bad.append((i, j, lhs ^ rhs))
         laws["leibniz"] = not bad
@@ -500,10 +526,23 @@ def check_algebra(
     if "assoc" in checks:
         bad = []
         for i, j in alg.composable_pairs():
-            ij = alg.mul_basis(i, j)
-            for l in alg.by_source[alg.basis[j].t]:
-                lhs = alg.mul_support(ij, frozenset([l]))
-                rhs = alg.mul_support(frozenset([i]), alg.mul_basis(j, l))
+            ij = right[i].get(j, _ZERO)
+            # both (a_i a_j) a_l and a_i (a_j a_l) vanish unless l is a key of
+            # right[j] or of right[x] for a term x of a_i a_j; l still runs
+            # only over the sources composable with a_j, in ascending order
+            tj = alg.basis[j].t
+            ls = set(right[j])
+            for x in ij:
+                ls.update(right[x])
+            for l in sorted(ls):
+                if alg.basis[l].s != tj:
+                    continue
+                lhs = _ZERO
+                for x in ij:
+                    lhs ^= right[x].get(l, _ZERO)
+                rhs = _ZERO
+                for y in right[j].get(l, _ZERO):
+                    rhs ^= right[i].get(y, _ZERO)
                 if lhs != rhs:
                     bad.append((i, j, l, lhs ^ rhs))
         laws["assoc"] = not bad

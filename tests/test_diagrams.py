@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -241,3 +243,50 @@ def test_serialize_parse_round_trip():
     for name, fn in NAMED_DIAGRAMS.items():
         d = fn()
         assert parse_diagram(serialize_diagram(d)) == d
+
+
+_DROP = object()
+
+
+def _s3_json(**change):
+    """The S^3 diagram as JSON, with fields replaced or (_DROP) removed;
+    a path like points__0__alpha walks into lists and objects."""
+    data = json.loads(serialize_diagram(s3_diagram()))
+    for path, value in change.items():
+        *keys, last = path.split("__")
+        obj = data
+        for key in keys:
+            obj = obj[int(key)] if key.isdigit() else obj[key]
+        if value is _DROP:
+            del obj[last]
+        else:
+            obj[last] = value
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"genus": 1,', "not valid JSON"),
+        ("[1, 2]", "diagram is not an object"),
+        (_s3_json(points=_DROP), "diagram lacks field 'points'"),
+        (_s3_json(regions=_DROP), "diagram lacks field 'regions'"),
+        (_s3_json(genus=_DROP), "diagram lacks field 'genus'"),
+        (_s3_json(points__0__alpha=_DROP), "point 0 lacks field 'alpha'"),
+        (_s3_json(points__0__beta=_DROP), "point 0 lacks field 'beta'"),
+        (_s3_json(regions__0__corners=_DROP), "region 0 lacks field 'corners'"),
+        (_s3_json(genus="one"), "diagram: field 'genus' is not an integer"),
+        (_s3_json(genus=None), "diagram: field 'genus' is not an integer"),
+        (_s3_json(points=7), "diagram: field 'points' is not a list"),
+        (_s3_json(regions="abc"), "diagram: field 'regions' is not a list"),
+        (_s3_json(points=[3]), "point 0 is not an object"),
+        (_s3_json(points__0__beta=[0]), "point 0: field 'beta' is not an integer"),
+        (_s3_json(regions__0__corners=[[0, 0, 1]]), "region 0: field 'corners' holds [0, 0, 1]"),
+        (_s3_json(regions__0__corners=[5]), "region 0: field 'corners' holds 5"),
+        (_s3_json(regions__0__corners=[["a", 0]]), "region 0: field 'corners' holds ['a', 0]"),
+        (_s3_json(regions__0__genus="x"), "region 0: field 'genus' is not an integer"),
+    ],
+)
+def test_malformed_diagram_is_a_diagram_error(text, message):
+    with pytest.raises(DiagramError, match=re.escape(message)):
+        parse_diagram(text)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -30,6 +31,7 @@ from strandalg.modules import (
     load_module,
     mor_complex,
     nilpotence_order,
+    _relation_terms,
 )
 from strandalg.strands import Algebra, opposite_algebra_map
 
@@ -112,6 +114,47 @@ def test_bundled_modules_pass_validators():
         assert check_typeA(ma).ok
         assert check_typeD(nd).ok
         assert check_typeA(mr).ok
+
+
+def _full_product_check_typeA(m, max_inputs=None):
+    """check_typeA over every basis argument tuple, composable or not."""
+    depth = max_inputs if max_inputs is not None else m.j_max + 1
+    failures = []
+    for r in range(depth + 1):
+        for x in m.generators:
+            for args in itertools.product(range(m.algebra.dim), repeat=r):
+                res = _relation_terms(m, x, args)
+                if res:
+                    failures.append(f"relation fails on ({x!r}, {args}): residue {sorted(res)}")
+                    if len(failures) > 4:
+                        return False, failures
+    return not failures, failures
+
+
+def _flipped(m):
+    """m with the output of its first product action removed."""
+    key = min(k for k in m.ops if k[1])
+    ops = {**m.ops, key: m.ops[key] ^ {min(m.ops[key])}}
+    return TypeAModule(m.algebra, m.generators, m.idem, {k: v for k, v in ops.items() if v})
+
+
+def _typeA_cases():
+    files = sorted((data_dir() / "modules").glob("*typeA.json"))
+    cases = [(f.stem, load_module(f), None) for f in files]
+    for k in (1, 2):
+        m = algebra_as_module(Algebra.from_surface(torus_decoration(), k))
+        cases += [(f"torus_k{k}", m, None), (f"torus_k{k}_depth3", m, 3)]
+    cases += [("torus_k1_flipped", _flipped(algebra_as_module(ALG)), None)]
+    return cases
+
+
+def test_typeA_composable_chains_match_full_product():
+    cases = _typeA_cases()
+    assert len(cases) == 7 + 5
+    for name, m, depth in cases:
+        rep = check_typeA(m, max_inputs=depth)
+        assert (rep.ok, rep.failures) == _full_product_check_typeA(m, depth), name
+    assert not check_typeA(cases[-1][1]).ok
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +353,13 @@ def test_bundled_files_match_builders():
     on_disk = json.loads((data_dir() / "modules" / "solid_torus_typeA.json").read_text())
     assert built == on_disk
 
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+@pytest.mark.parametrize("end", ["from", "to"])
+def test_unknown_generator_is_a_format_error(kind, end):
+    data = dump_module(solid_torus_typeA() if kind == "A" else filling_typeD(2), {"surface": "x", "k": 1})
+    op = data["operations"][0]
+    op[end] = "nowhere"
+    with pytest.raises(ModuleFormatError, match=r"operation 0 \(.*\): unknown generator 'nowhere'"):
+        load_module(data, algebra=ALG)

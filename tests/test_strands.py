@@ -535,3 +535,40 @@ def test_corrupted_differential_is_caught(k, target, flip, witness, opposite, mo
     assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
 
     assert _opposite_of(alg, monkeypatch) == (False, [opposite])
+
+
+@pytest.mark.parametrize(
+    "k, left, right, product, witness",
+    [
+        (
+            1,
+            {"chords": [[0, 2]]},
+            {"chords": [[0, 2]]},
+            {"chords": [[0, 2]]},
+            'assoc fails on ({"chords": [[0, 2]], "markers": []}, {"chords": [[0, 2]], "markers": []}, '
+            '{"chords": [[2, 3]], "markers": []}): residue [{"chords": [[0, 3]], "markers": []}]',
+        ),
+        (
+            2,
+            {"chords": [[0, 2], [1, 3]]},
+            {"chords": [[0, 2], [1, 3]]},
+            {"chords": [[0, 2], [1, 3]]},
+            'assoc fails on ({"chords": [[0, 2], [1, 3]], "markers": []}, {"chords": [[1, 3]], "markers": [0]}, '
+            '{"chords": [[0, 2]], "markers": [1]}): residue [{"chords": [[0, 2], [1, 3]], "markers": []}]',
+        ),
+    ],
+    ids=["k1", "k2"],
+)
+def test_created_product_is_caught(k, left, right, product, witness):
+    """A zero composable product made nonzero: the sparse assoc scan must
+    visit the triples the new entry opens up, so it reads its rows from the
+    table under check."""
+    alg = _filled_torus(k)
+    i, j = _torus_element(alg, **left), _torus_element(alg, **right)
+    assert alg.basis[i].t == alg.basis[j].s and not alg._mul[i, j]
+    alg._mul[i, j] = frozenset([_torus_element(alg, **product)])
+
+    rep = check_algebra(TORUS, k, algebra=alg)
+    assert not rep.laws["assoc"]
+    assert witness in rep.failures
+    assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
