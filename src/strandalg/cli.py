@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from . import corpus
+from .acceptance import CRITERIA
 from .diagrams import (
     analyze_diagram,
     cf_hat,
@@ -26,7 +25,6 @@ from .diagrams import (
     parse_diagram,
     parse_domain,
 )
-from .homalg import ChainComplex, identity_map, mapping_cone
 from .modules import (
     TypeDModule,
     box_tensor,
@@ -235,120 +233,10 @@ def _cmd_mor(args, report):
 
 
 def _cmd_suite(args, report):
-    run_suite(report, max_arcs=args.max_arcs, seed=args.seed)
-
-
-def run_suite(report: RunReport, max_arcs: int = 3, seed: int = 0):
-    """The full acceptance corpus: algebra laws, opposite algebras, connected
-    sums, directedness, the closed-diagram engine, module pairings, and
-    randomized transform invariants."""
-    surfaces = [
-        (name, ds) for name, ds in corpus.corpus_surfaces() if ds.n_arcs <= max_arcs
-        or name.startswith(("onedisc", "doublecover"))
-    ]
-    report.results["corpus_surfaces"] = len(surfaces)
-
-    laws_ok, op_ok = True, True
-    detail = []
-    for name, ds in surfaces:
-        for k in range(0, ds.n_arcs + 1):
-            rep = check_algebra(ds, k)
-            if not rep.ok:
-                laws_ok = False
-                detail.append(f"{name} k={k}")
-            if not opposite_check(ds, k):
-                op_ok = False
-                detail.append(f"opposite {name} k={k}")
-    report.add_check("algebra-laws", laws_ok, "; ".join(detail[:3]))
-    report.add_check("opposite-algebras", op_ok)
-
-    torus = corpus.torus_decoration()
-    dims = [Algebra.from_surface(torus, k).dim for k in (0, 1, 2)]
-    report.results["torus_dims"] = dims
-    report.add_check("torus-dimensions", dims == [1, 8, 7])
-
-    consum_ok = all(
-        [
-            consum_check(corpus.disc_with_arc(), corpus.disc_with_arc(), 1),
-            consum_check(torus, corpus.disc(), 1),
-            consum_check(torus, torus, 2),
-        ]
-    )
-    report.add_check("connected-sums", consum_ok)
-
-    directed_ok = all(
-        directedness_check(corpus.double_cover_decoration(g), k)
-        for g in (1, 2)
-        for k in range(0, 2 * g + 2)
-    ) and not directedness_check(torus, 1)
-    report.add_check("directedness", directed_ok)
-
-    ranks = {}
-    d2_ok = True
-    for name, fn in corpus.NAMED_DIAGRAMS.items():
-        c = cf_hat(fn())
-        ranks[name] = c.homology_rank()
-    expected = {"s3": 1, "s1s2": 2, **{f"lens{p}": p for p in range(2, 8)}}
-    report.results["diagram_ranks"] = ranks
-    report.add_check("closed-engine-ranks", ranks == expected)
-
-    pair_ok = True
-    pdetail = []
-    for name, ma, nd, mr, diag, rank in corpus.load_bundled_pairings():
-        ok = (
-            check_typeA(ma).ok
-            and check_typeD(nd).ok
-            and check_typeA(mr).ok
-            and box_tensor(ma, nd).homology_rank() == rank
-            and mor_complex(mr, ma).homology_rank() == rank
-            and cf_hat(diag).homology_rank() == rank
-        )
-        if not ok:
-            pair_ok = False
-            pdetail.append(name)
-    report.add_check("module-pairings", pair_ok, "; ".join(pdetail))
-
-    rng = random.Random(seed)
-    slides = 0
-    slide_ok = True
-    pool = [ds for _, ds in surfaces if ds.n_arcs >= 2]
-    while slides < 100:
-        ds = rng.choice(pool)
-        options = []
-        for i, arc in enumerate(ds.arcs):
-            for end in arc:
-                ci, ni = next(
-                    (a, b)
-                    for a, c in enumerate(ds.circles)
-                    for b, t in enumerate(c)
-                    if t == end
-                )
-                nxt = ds.circles[ci][(ni + 1) % len(ds.circles[ci])]
-                if nxt != "z" and ds.arc_of(nxt) != i:
-                    options.append((i, ds.arc_of(nxt), end))
-        if not options:
-            continue
-        i, j, end = rng.choice(options)
-        before = analyze_surface(ds)
-        after = analyze_surface(arc_slide(ds, i, j, end))
-        if (before.genus, before.num_boundary_circles) != (
-            after.genus,
-            after.num_boundary_circles,
-        ):
-            slide_ok = False
-        slides += 1
-    report.add_check("arc-slide-invariants", slide_ok)
-
-    cone_ok = True
-    for _ in range(100):
-        na, nb = rng.randint(1, 6), rng.randint(0, 6)
-        diff = [0] * (na + nb)
-        for i in range(na):
-            diff[i] = rng.getrandbits(nb) << na if nb else 0
-        c = ChainComplex(tuple(f"g{i}" for i in range(na + nb)), tuple(diff))
-        if mapping_cone(identity_map(c)).homology_rank() != 0:
-            cone_ok = False
-    report.add_check("cone-of-identity-acyclic", cone_ok)
+    for name, criterion in CRITERIA:
+        ok, detail, results = criterion()
+        report.add_check(name, ok, detail)
+        report.results.update(results)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", action="store_true")
     p.set_defaults(fn=_cmd_mor)
 
-    p = add("suite", help="run the full acceptance corpus")
-    p.add_argument("--max-arcs", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p = add("suite", help="run the acceptance gate")
     p.set_defaults(fn=_cmd_suite)
 
     return ap

@@ -59,16 +59,6 @@ def double_cover_decoration(g: int) -> DecoratedSurface:
     return make_surface([circle], arcs)
 
 
-NAMED_SURFACES = {
-    "disc": disc,
-    "disc_with_arc": disc_with_arc,
-    "torus": torus_decoration,
-    "onedisc_g2": lambda: one_disc_decoration(2),
-    "doublecover_g1": lambda: double_cover_decoration(1),
-    "doublecover_g2": lambda: double_cover_decoration(2),
-}
-
-
 # ---------------------------------------------------------------------------
 # enumerated corpus
 
@@ -149,6 +139,19 @@ def isotopic_diagram() -> ClosedDiagram:
     )
 
 
+def bigon_diagram() -> ClosedDiagram:
+    """Two curves on the torus meeting twice and bounding one empty bigon
+    away from the basepoint, so the differential fires and HF-hat is 0."""
+    return ClosedDiagram(
+        1,
+        ((0, 0), (0, 0)),
+        (
+            Region(((0, 0), (1, 1))),
+            Region(((0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3)), has_z=True),
+        ),
+    )
+
+
 NAMED_DIAGRAMS = {
     "s3": s3_diagram,
     "s1s2": isotopic_diagram,
@@ -209,43 +212,12 @@ def filling_typeD(q: int, alg: Algebra | None = None) -> TypeDModule:
 
 
 def filling_reversed_typeA(q: int, alg: Algebra | None = None) -> TypeAModule:
-    """Type A model of the orientation-reversed q-framed filling, built so its
-    dual type D structure is valid (only cancellation-free actions)."""
-    alg = alg or torus_algebra()
-    c = lambda p, r: _chord(alg, p, r)
-    i0, i1 = frozenset([0]), frozenset([1])
-    if q == 0:
-        return TypeAModule(alg, ("v",), {"v": i0}, {})
-    if q == 1:
-        return TypeAModule(
-            alg, ("v", "w"), {"v": i0, "w": i1}, {("v", (c(2, 3),)): frozenset(["w"])}
-        )
-    if q == 2:
-        return TypeAModule(
-            alg,
-            ("v", "w", "u"),
-            {"v": i0, "w": i1, "u": i1},
-            {("v", (c(2, 3),)): frozenset(["w"]), ("u", ()): frozenset(["w"])},
-        )
-    if q == 3:
-        return TypeAModule(
-            alg, ("u", "r"), {"u": i1, "r": i0}, {("u", (c(1, 2),)): frozenset(["r"])}
-        )
-    if q == 4:
-        return TypeAModule(
-            alg,
-            ("v", "w", "u"),
-            {"v": i0, "w": i1, "u": i1},
-            {("v", (c(2, 3),)): frozenset(["w"]), ("v", (c(0, 1),)): frozenset(["u"])},
-        )
-    if q == 5:
-        return TypeAModule(
-            alg,
-            ("v", "r", "w"),
-            {"v": i0, "r": i0, "w": i1},
-            {("v", (c(0, 1),)): frozenset(["w"])},
-        )
-    raise ValueError("bundled fillings cover q = 0..5")
+    """Type A model of the orientation-reversed q-framed filling, read from
+    its bundled file; its actions are cancellation-free, so its dual type D
+    structure is valid."""
+    if q not in range(6):
+        raise ValueError("bundled fillings cover q = 0..5")
+    return load_module(data_dir() / "modules" / f"filling{q}_rev_typeA.json", algebra=alg or torus_algebra())
 
 
 PAIRINGS = tuple(

@@ -133,14 +133,33 @@ class TypeAModule:
 # file format
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] of a module file, or ModuleFormatError naming the field."""
+    if not isinstance(obj, dict):
+        raise ModuleFormatError(f"{where} is not an object")
+    try:
+        return obj[key]
+    except KeyError as e:
+        raise ModuleFormatError(f"{where} lacks field {key!r}") from e
+
+
 def _load_algebra(ref, base_dir) -> Algebra:
-    surf = ref["surface"]
+    surf = _field(ref, "surface", "algebra")
     if isinstance(surf, str):
         path = Path(base_dir or ".") / surf
         ds = parse_surface(path.read_text())
     else:
         ds = parse_surface(json.dumps(surf))
-    return Algebra.from_surface(ds, int(ref["k"]))
+    return Algebra.from_surface(ds, int(_field(ref, "k", "algebra")))
+
+
+def _basis_index(algebra: Algebra, n: int, desc) -> int:
+    """The basis element that descriptor desc of operation n names."""
+    try:
+        (i,) = algebra.from_descriptor(desc).support
+    except (ValueError, TypeError, AttributeError) as e:
+        raise ModuleFormatError(f"operation {n}: bad descriptor {json.dumps(desc, default=repr)}: {e}") from e
+    return i
 
 
 def _check_ends(n: int, op: dict, idem: dict) -> None:
@@ -162,35 +181,36 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
         base_dir = base_dir or path.parent
     else:
         data = source
+    kind = _field(data, "type", "module")
     if algebra is None:
-        algebra = _load_algebra(data["algebra"], base_dir)
+        algebra = _load_algebra(_field(data, "algebra", "module"), base_dir)
 
     gens = []
     idem = {}
-    for g in data["generators"]:
-        gens.append(g["name"])
-        idem[g["name"]] = frozenset(g["idempotent"])
+    for n, g in enumerate(_field(data, "generators", "module")):
+        name = _field(g, "name", f"generator {n}")
+        gens.append(name)
+        idem[name] = frozenset(_field(g, "idempotent", f"generator {n}"))
     if len(set(gens)) != len(gens):
         raise ModuleFormatError("duplicate generator names")
 
-    kind = data["type"]
     if kind == "D":
         delta: dict = {g: set() for g in gens}
         for n, op in enumerate(data.get("operations", ())):
+            desc = _field(op, "alg", f"operation {n}")
             _check_ends(n, op, idem)
-            a = algebra.from_descriptor(op["alg"])
-            (ai,) = a.support
-            delta[op["from"]] ^= {(ai, op["to"])}
+            if not isinstance(desc, dict):
+                raise ModuleFormatError(f"operation {n}: field 'alg' is not an object")
+            delta[op["from"]] ^= {(_basis_index(algebra, n, desc), op["to"])}
         return TypeDModule(algebra, tuple(gens), idem, {g: frozenset(v) for g, v in delta.items()})
     if kind == "A":
         ops: dict = {}
         for n, op in enumerate(data.get("operations", ())):
+            descs = _field(op, "alg", f"operation {n}")
             _check_ends(n, op, idem)
-            args = []
-            for desc in op["alg"]:
-                a = algebra.from_descriptor(desc)
-                (ai,) = a.support
-                args.append(ai)
+            if not isinstance(descs, (list, tuple)):
+                raise ModuleFormatError(f"operation {n}: field 'alg' is not a list")
+            args = [_basis_index(algebra, n, desc) for desc in descs]
             key = (op["from"], tuple(args))
             ops[key] = ops.get(key, frozenset()) ^ {op["to"]}
         ops = {k: v for k, v in ops.items() if v}

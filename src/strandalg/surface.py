@@ -111,6 +111,13 @@ def parse_surface(text: str) -> DecoratedSurface:
     if not isinstance(data, dict) or "circles" not in data or "arcs" not in data:
         raise SurfaceError("syntax", "expected object with 'circles' and 'arcs'")
 
+    for name in ("circles", "arcs"):
+        if not isinstance(data[name], list):
+            raise SurfaceError("syntax", f"field {name!r} is not a list")
+        for item in data[name]:
+            if not isinstance(item, list):
+                raise SurfaceError("syntax", f"field {name!r} holds {item!r}, not a list")
+
     circles = []
     for c in data["circles"]:
         nodes = []
@@ -125,13 +132,19 @@ def parse_surface(text: str) -> DecoratedSurface:
         if len(pair) != 2:
             raise SurfaceError("bad-arc", f"arc {pair!r} is not a pair")
         a, b = pair
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise SurfaceError("bad-token", f"arc {pair!r} has a non-string endpoint")
         if a == b:
             raise SurfaceError("bad-arc", f"arc {pair!r} has equal endpoints")
         arcs.append(tuple(sorted((a, b))))
 
-    genus_overrides = tuple(
-        sorted((int(k), int(v)) for k, v in data.get("face_genus", {}).items())
-    )
+    face_genus = data.get("face_genus", {})
+    if not isinstance(face_genus, dict):
+        raise SurfaceError("syntax", "field 'face_genus' is not an object")
+    for k, v in face_genus.items():
+        if not (k.isdecimal() and type(v) is int and v >= 0):
+            raise SurfaceError("syntax", f"field 'face_genus' maps {k!r} to {v!r}, not a face index to a genus")
+    genus_overrides = tuple(sorted((int(k), v) for k, v in face_genus.items()))
     ds = DecoratedSurface(tuple(circles), tuple(arcs), genus_overrides)
     _validate(ds)
     return ds
@@ -388,6 +401,19 @@ def _locate(ds: DecoratedSurface, endpoint: str) -> tuple[int, int]:
             if t == endpoint:
                 return ci, ni
     raise SurfaceError("no-such-endpoint", f"endpoint {endpoint!r} not on any circle")
+
+
+def slide_options(ds: DecoratedSurface) -> list[tuple[int, int, str]]:
+    """(i, j, end) for every slide of arc i over arc j at end that
+    ``arc_slide`` accepts."""
+    options = []
+    for i, arc in enumerate(ds.arcs):
+        for end in arc:
+            ci, ni = _locate(ds, end)
+            nxt = ds.circles[ci][(ni + 1) % len(ds.circles[ci])]
+            if nxt != Z and ds.arc_of(nxt) != i:
+                options.append((i, ds.arc_of(nxt), end))
+    return options
 
 
 def arc_slide(ds: DecoratedSurface, i: int, j: int, end: str) -> DecoratedSurface:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from strandalg.acceptance import CRITERIA
 from strandalg.cli import run
 from strandalg.corpus import data_dir
 
@@ -109,9 +110,10 @@ def test_pair_and_mor_agree():
     assert status == 0 and rep.results["rank"] == 3
 
 
-def test_unknown_subcommand():
+@pytest.mark.parametrize("argv", [["frobnicate"], ["suite", "--max-arcs", "1"], ["suite", "--seed", "0"]])
+def test_unknown_arguments_are_rejected(argv):
     with pytest.raises(SystemExit):
-        run(["frobnicate"])
+        run(argv)
 
 
 def test_json_reports_are_byte_identical(tmp_path):
@@ -125,7 +127,10 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert LENS5 in data["inputs"]
 
 
-def test_suite_quick():
-    status, rep = run(["suite", "--max-arcs", "1"])
+def test_suite_runs_the_acceptance_criteria():
+    status, rep = run(["suite"])
     assert status == 0
+    assert [c["name"] for c in rep.checks] == [name for name, _ in CRITERIA]
     assert all(c["pass"] for c in rep.checks)
+    assert rep.results["corpus_surfaces"] == 72
+    assert rep.results["torus_dims"] == [1, 8, 7]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from strandalg.corpus import NAMED_DIAGRAMS, isotopic_diagram, s3_diagram, slope_diagram
+from strandalg.corpus import NAMED_DIAGRAMS, bigon_diagram, isotopic_diagram, s3_diagram, slope_diagram
 from strandalg.diagrams import (
     ClosedDiagram,
     DiagramDomain,
@@ -92,14 +92,7 @@ def test_cf_hat_isotopic_curves():
 
 
 def test_bigon_differential_fires():
-    d = ClosedDiagram(
-        1,
-        ((0, 0), (0, 0)),
-        (
-            Region(((0, 0), (1, 1))),
-            Region(((0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3)), has_z=True),
-        ),
-    )
+    d = bigon_diagram()
     c = cf_hat(d)
     assert c.differential == (0b10, 0)
     assert c.homology_rank() == 0
@@ -183,14 +176,7 @@ def test_empty_test_is_consistent_with_brute_force_on_corpus():
 
 
 def test_euler_measure_bigon_and_square():
-    bigon = ClosedDiagram(
-        1,
-        ((0, 0), (0, 0)),
-        (
-            Region(((0, 0), (1, 1))),
-            Region(((0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 3)), has_z=True),
-        ),
-    )
+    bigon = bigon_diagram()
     assert euler_measure(bigon, DiagramDomain((1, 0))) == Fraction(1, 2)
     sq = slope_diagram(3)
     assert euler_measure(sq, DiagramDomain((0, 1, 0))) == 0

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strandalg.acceptance import random_complex
 from strandalg.corpus import torus_decoration
 from strandalg.homalg import (
     ChainComplex,
@@ -63,9 +64,7 @@ def test_algebra_complex_against_brute_force():
 def test_rank_nullity():
     rng = random.Random(7)
     for _ in range(30):
-        na, nb = rng.randint(1, 5), rng.randint(0, 5)
-        diff = [rng.getrandbits(nb) << na if nb else 0 for _ in range(na)] + [0] * nb
-        c = ChainComplex(tuple(f"g{i}" for i in range(na + nb)), tuple(diff))
+        c = random_complex(rng, rng.randint(1, 5), rng.randint(0, 5))
         assert c.homology_rank() == c.rank - 2 * c.differential_rank()
 
 
@@ -173,6 +172,5 @@ def test_homology_rank_function():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=5), st.randoms())
 def test_cone_identity_acyclic_property(na, nb, rng):
-    diff = [rng.getrandbits(nb) << na if nb else 0 for _ in range(na)] + [0] * nb
-    c = ChainComplex(tuple(f"g{i}" for i in range(na + nb)), tuple(diff))
+    c = random_complex(rng, na, nb)
     assert mapping_cone(identity_map(c)).homology_rank() == 0

@@ -348,9 +348,16 @@ def test_bundled_files_resolve_their_algebra():
     assert check_typeA(m).ok
 
 
-def test_bundled_files_match_builders():
-    built = dump_module(solid_torus_typeA(), {"surface": "../surfaces/torus.json", "k": 1})
-    on_disk = json.loads((data_dir() / "modules" / "solid_torus_typeA.json").read_text())
+BUILDERS = {
+    "solid_torus_typeA": solid_torus_typeA,
+    **{f"filling{q}_typeD": (lambda q=q: filling_typeD(q)) for q in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_bundled_files_match_builders(name):
+    built = dump_module(BUILDERS[name](), {"surface": "../surfaces/torus.json", "k": 1})
+    on_disk = json.loads((data_dir() / "modules" / f"{name}.json").read_text())
     assert built == on_disk
 
 
@@ -363,3 +370,38 @@ def test_unknown_generator_is_a_format_error(kind, end):
     op[end] = "nowhere"
     with pytest.raises(ModuleFormatError, match=r"operation 0 \(.*\): unknown generator 'nowhere'"):
         load_module(data, algebra=ALG)
+
+
+def _set_alg(data, desc):
+    data["operations"][0]["alg"] = [desc] if data["type"] == "A" else desc
+
+
+@pytest.mark.parametrize("name", ["solid_torus_typeA", "filling2_typeD"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("type"), "module lacks field 'type'"),
+        (lambda d: d.pop("generators"), "module lacks field 'generators'"),
+        (lambda d: d.pop("algebra"), "module lacks field 'algebra'"),
+        (lambda d: d["algebra"].pop("k"), "algebra lacks field 'k'"),
+        (lambda d: d["generators"][0].pop("name"), "generator 0 lacks field 'name'"),
+        (lambda d: d["generators"][1].pop("idempotent"), "generator 1 lacks field 'idempotent'"),
+        (lambda d: d["operations"][0].pop("alg"), "operation 0 lacks field 'alg'"),
+        (lambda d: d["operations"][0].update(alg=5), "operation 0: field 'alg' is not a"),
+        (lambda d: _set_alg(d, {"chords": [[0, 9]]}),
+         'operation 0: bad descriptor {"chords": [[0, 9]]}: position out of range in chord (0,9)'),
+        (lambda d: _set_alg(d, {"chords": [[2, 1]]}),
+         'operation 0: bad descriptor {"chords": [[2, 1]]}: (2,1) is not a chord'),
+        (lambda d: _set_alg(d, {"chords": 3}), 'operation 0: bad descriptor {"chords": 3}: '),
+        (lambda d: _set_alg(d, {"markers": [0, 1]}), "descriptor does not select 1 distinct arcs"),
+    ],
+    ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
+         "range", "chord", "chords-int", "markers"],
+)
+def test_malformed_module_is_a_format_error(name, edit, message):
+    data = json.loads((data_dir() / "modules" / f"{name}.json").read_text())
+    edit(data)
+    with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:
+        load_module(data, base_dir=data_dir() / "modules")
+    # a missing field or a rejected descriptor is chained from its cause
+    assert (e.value.__cause__ is None) == ("field 'alg' is not a" in message)

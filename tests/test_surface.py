@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ DISC1 = disc_with_arc()
 
 
 def test_parse_smallest_legal_input():
-    ds = parse_surface('{"circles": [["z", "e1", "e2"]], "arcs": [["e1", "e2"]]}')
+    ds = parse_surface('{"circles": [["z","e1","e2"]], "arcs": [["e1","e2"]]}')
     assert ds.n_arcs == 1
     assert ds.intervals() == (("e1", "e2"),)
 
@@ -45,7 +46,7 @@ def test_parse_interleaved_two_arc_surface():
 
 def test_parse_circle_without_z_is_rejected_with_distinct_code():
     with pytest.raises(SurfaceError) as e:
-        parse_surface('{"circles": [["e1", "e2"]], "arcs": [["e1", "e2"]]}')
+        parse_surface('{"circles": [["e1", "e2"]], "arcs": [["e1","e2"]]}')
     assert e.value.code == "circle-without-z"
 
 
@@ -57,12 +58,33 @@ def test_parse_circle_without_z_is_rejected_with_distinct_code():
         ('{"circles": [["z","e1","e2","e1"]], "arcs": [["e1","e2"]]}', "duplicate-endpoint"),
         ('{"circles": [["z","e1"]], "arcs": []}', "unmatched-endpoint"),
         ('{"circles": [["z","e1","e2"]], "arcs": [["e1","e3"]]}', "unmatched-endpoint"),
+        ('{"circles": [["z","e1","e2"]], "arcs": [["e1",5]]}', "bad-token"),
     ],
 )
 def test_parse_errors(text, code):
     with pytest.raises(SurfaceError) as e:
         parse_surface(text)
     assert e.value.code == code
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"circles": 5, "arcs": []}', "field 'circles' is not a list"),
+        ('{"circles": [5], "arcs": []}', "field 'circles' holds 5, not a list"),
+        ('{"circles": [["z"]], "arcs": 3}', "field 'arcs' is not a list"),
+        ('{"circles": [["z"]], "arcs": [5]}', "field 'arcs' holds 5, not a list"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": [1]}', "field 'face_genus' is not an object"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": 5}', "field 'face_genus' is not an object"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"a": 1}}', "field 'face_genus' maps 'a' to 1"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"0": "x"}}', "field 'face_genus' maps '0' to 'x'"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"0": -1}}', "field 'face_genus' maps '0' to -1"),
+    ],
+)
+def test_malformed_surface_is_a_syntax_error(text, message):
+    with pytest.raises(SurfaceError, match=re.escape(message)) as e:
+        parse_surface(text)
+    assert e.value.code == "syntax"
 
 
 def test_disconnected_data_is_rejected():
@@ -128,7 +150,7 @@ def test_euler_characteristic_consistency():
 
 
 def test_face_genus_override_changes_genus():
-    ds = make_surface([["z", "e1", "e2"]], [["e1", "e2"]], face_genus=[(0, 1)])
+    ds = make_surface([["z","e1","e2"]], [["e1", "e2"]], face_genus=[(0, 1)])
     rep = analyze_surface(ds)
     assert rep.genus == 1
     assert not rep.single_disc_faces
