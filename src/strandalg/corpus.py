@@ -198,15 +198,15 @@ def filling_typeD(q: int, alg: Algebra | None = None) -> TypeDModule:
     """Type D model of the q-framed solid torus filling: one arc-0 generator
     feeding a chain of q arc-1 generators."""
     alg = alg or torus_algebra()
-    c = lambda p, r: _chord(alg, p, r)
     i0, i1 = frozenset([0]), frozenset([1])
     if q == 0:
         return TypeDModule(alg, ("v",), {"v": i0}, {"v": frozenset()})
     gens = ("v",) + tuple(f"w{i}" for i in range(1, q + 1))
     idem = {"v": i0, **{f"w{i}": i1 for i in range(1, q + 1)}}
-    delta = {"v": frozenset([(c(2, 3), "w1")])}
+    delta = {"v": frozenset([(_chord(alg, 2, 3), "w1")])}
+    c13 = _chord(alg, 1, 3)
     for i in range(1, q):
-        delta[f"w{i}"] = frozenset([(c(1, 3), f"w{i + 1}")])
+        delta[f"w{i}"] = frozenset([(c13, f"w{i + 1}")])
     delta[f"w{q}"] = frozenset()
     return TypeDModule(alg, gens, idem, delta)
 

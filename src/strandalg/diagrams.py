@@ -75,13 +75,17 @@ def _corner(c, where: str) -> tuple[int, int]:
         raise DiagramError(f"{where}: field 'corners' holds {c!r}, not a pair of integers") from e
 
 
+def _json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DiagramError(f"not valid JSON: {e}") from e
+
+
 def parse_diagram(text: str) -> ClosedDiagram:
     """Parse and validate a diagram; malformed input raises DiagramError
     naming the offending field."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DiagramError(f"not valid JSON: {e}") from e
+    data = _json(text)
     points = tuple(
         (_int(p, "alpha", f"point {n}"), _int(p, "beta", f"point {n}"))
         for n, p in enumerate(_list(data, "points", "diagram"))
@@ -179,19 +183,18 @@ def enumerate_generators(d: ClosedDiagram):
     for i, (a, _) in enumerate(d.points):
         by_alpha[a].append(i)
 
-    out = []
-
-    def rec(a, chosen, used_beta):
-        if a == d.genus:
-            out.append(tuple(sorted(chosen)))
-            return
-        for i in by_alpha[a]:
-            b = d.points[i][1]
-            if b not in used_beta:
-                rec(a + 1, chosen + [i], used_beta | {b})
-
-    rec(0, [], set())
-    return sorted(out)
+    # One level per alpha curve: extend every partial choice by a point on
+    # the next alpha curve whose beta curve is still free.
+    beta = [b for _, b in d.points]
+    partial = [()]
+    for a in range(d.genus):
+        partial = [
+            chosen + (i,)
+            for chosen in partial
+            for i in by_alpha[a]
+            if beta[i] not in {beta[j] for j in chosen}
+        ]
+    return sorted(tuple(sorted(chosen)) for chosen in partial)
 
 
 def _interior_points(d: ClosedDiagram, r: Region):
@@ -278,11 +281,18 @@ class DiagramDomain:
 
 
 def parse_domain(text: str) -> DiagramDomain:
-    data = json.loads(text)
+    """Parse a domain; malformed input raises DiagramError naming the
+    offending field."""
+    data = _json(text)
+    values = _list(data, "multiplicities", "domain")
+    try:
+        multiplicities = tuple(int(v) for v in values)
+    except (TypeError, ValueError) as e:
+        raise DiagramError(f"domain: field 'multiplicities' holds a non-integer: {values!r}") from e
     return DiagramDomain(
-        multiplicities=tuple(int(v) for v in data["multiplicities"]),
-        levels=int(data.get("levels", 1)),
-        k=int(data.get("k", 0)),
+        multiplicities=multiplicities,
+        levels=_int(data, "levels", "domain", 1),
+        k=_int(data, "k", "domain", 0),
     )
 
 

@@ -1,20 +1,15 @@
-"""Finite GF(2) chain complexes with sparse differentials.
+"""Finite GF(2) chain complexes with bit-packed differentials.
 
 Complexes are ungraded: the differential is any square-zero endomorphism of a
 finite GF(2) vector space with a distinguished generator basis.  Homology rank
 (dim ker - dim im) is the reproducible invariant; it is computed by Gaussian
-elimination on bit-packed rows (python ints as bit vectors), with a sparse
-set-based elimination path for very large complexes.
+elimination on bit-packed rows (python ints as bit vectors).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-# Generator count at which homology_rank switches from bit-packed dense
-# elimination to sparse set-based elimination.  Output-identical.
-DENSE_LIMIT = 1 << 13
 
 
 class NotAChainMap(ValueError):
@@ -45,8 +40,9 @@ def gf2_rank_dense(rows) -> int:
 
 
 def gf2_rank_sparse(rows) -> int:
-    """GF(2) rank via sparse elimination, pivoting on the fullest-free row
-    last (lowest fill first)."""
+    """GF(2) rank via set-based elimination, pivoting on the sparsest row
+    first.  Not used by the engine: it is the independent oracle the tests
+    check gf2_rank against, and it is O(n^2 log n) before any XOR."""
     active = [set(_bits(r)) for r in rows if r]
     rank = 0
     while active:
@@ -66,14 +62,9 @@ def gf2_rank_sparse(rows) -> int:
     return rank
 
 
-def gf2_rank(rows, method: str = "auto") -> int:
-    if method == "dense":
-        return gf2_rank_dense(rows)
-    if method == "sparse":
-        return gf2_rank_sparse(rows)
-    if method != "auto":
-        raise ValueError(f"unknown elimination method {method!r}")
-    return gf2_rank_sparse(rows) if len(rows) >= DENSE_LIMIT else gf2_rank_dense(rows)
+def gf2_rank(rows) -> int:
+    """GF(2) rank of bit-packed rows, by dense elimination."""
+    return gf2_rank_dense(rows)
 
 
 @dataclass(frozen=True)
@@ -114,11 +105,11 @@ class ChainComplex:
             acc ^= self.differential[j]
         return acc
 
-    def homology_rank(self, method: str = "auto") -> int:
-        return homology_rank(self, method)
+    def homology_rank(self) -> int:
+        return homology_rank(self)
 
-    def differential_rank(self, method: str = "auto") -> int:
-        return gf2_rank(list(self.differential), method)
+    def differential_rank(self) -> int:
+        return gf2_rank(self.differential)
 
     def to_json(self) -> str:
         pairs = sorted(
@@ -144,10 +135,9 @@ def zero_complex(labels) -> ChainComplex:
     return ChainComplex(labels, (0,) * len(labels))
 
 
-def homology_rank(c: ChainComplex, method: str = "auto") -> int:
+def homology_rank(c: ChainComplex) -> int:
     """dim ker D - rank D.  Over GF(2), ungraded, this is n - 2 rank D."""
-    r = c.differential_rank(method)
-    return c.rank - 2 * r
+    return c.rank - 2 * c.differential_rank()
 
 
 @dataclass(frozen=True)

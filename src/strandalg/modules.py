@@ -12,6 +12,7 @@ through a finite dual type D model (see mor_complex).
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -150,7 +151,11 @@ def _load_algebra(ref, base_dir) -> Algebra:
         ds = parse_surface(path.read_text())
     else:
         ds = parse_surface(json.dumps(surf))
-    return Algebra.from_surface(ds, int(_field(ref, "k", "algebra")))
+    k = _field(ref, "k", "algebra")
+    try:
+        return Algebra.from_surface(ds, int(k))
+    except (TypeError, ValueError) as e:
+        raise ModuleFormatError(f"algebra: field 'k' = {k!r} is invalid: {e}") from e
 
 
 def _basis_index(algebra: Algebra, n: int, desc) -> int:
@@ -190,7 +195,11 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
     for n, g in enumerate(_field(data, "generators", "module")):
         name = _field(g, "name", f"generator {n}")
         gens.append(name)
-        idem[name] = frozenset(_field(g, "idempotent", f"generator {n}"))
+        arcs = _field(g, "idempotent", f"generator {n}")
+        try:
+            idem[name] = frozenset(operator.index(a) for a in arcs)
+        except TypeError as e:
+            raise ModuleFormatError(f"generator {n}: field 'idempotent' is not a list of arcs: {arcs!r}") from e
     if len(set(gens)) != len(gens):
         raise ModuleFormatError("duplicate generator names")
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import re
@@ -17,6 +18,7 @@ from strandalg.diagrams import (
     euler_measure,
     maslov_index,
     parse_diagram,
+    parse_domain,
     serialize_diagram,
     validate_diagram,
 )
@@ -276,3 +278,44 @@ def _s3_json(**change):
 def test_malformed_diagram_is_a_diagram_error(text, message):
     with pytest.raises(DiagramError, match=re.escape(message)):
         parse_diagram(text)
+
+
+def test_parse_domain():
+    phi = parse_domain('{"multiplicities": [0, 1, 2], "levels": 3, "k": 2}')
+    assert phi == DiagramDomain((0, 1, 2), levels=3, k=2)
+    assert parse_domain('{"multiplicities": []}') == DiagramDomain(())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nope", "not valid JSON"),
+        ("[0, 1]", "domain is not an object"),
+        ("{}", "domain lacks field 'multiplicities'"),
+        ('{"multiplicities": 5}', "domain: field 'multiplicities' is not a list"),
+        ('{"multiplicities": [1, "x"]}', "domain: field 'multiplicities' holds a non-integer"),
+        ('{"multiplicities": [1, null]}', "domain: field 'multiplicities' holds a non-integer"),
+        ('{"multiplicities": [1], "levels": "two"}', "domain: field 'levels' is not an integer"),
+        ('{"multiplicities": [1], "levels": [2]}', "domain: field 'levels' is not an integer"),
+        ('{"multiplicities": [1], "k": "x"}', "domain: field 'k' is not an integer"),
+        ('{"multiplicities": [1], "k": null}', "domain: field 'k' is not an integer"),
+    ],
+    ids=["json", "non-object", "missing", "mult-int", "mult-str", "mult-null",
+         "levels-str", "levels-list", "k-str", "k-null"],
+)
+def test_malformed_domain_is_a_diagram_error(text, message):
+    with pytest.raises(DiagramError, match=re.escape(message)) as e:
+        parse_domain(text)
+    # a rejected JSON text or integer conversion is chained from its cause
+    assert (e.value.__cause__ is not None) == ("JSON" in message or "integer" in message)
+
+
+def test_cf_hat_leaves_no_cyclic_garbage():
+    """Reference counting alone frees everything cf_hat builds."""
+    gc.collect()
+    gc.disable()
+    try:
+        cf_hat(slope_diagram(64))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -394,9 +394,16 @@ def _set_alg(data, desc):
          'operation 0: bad descriptor {"chords": [[2, 1]]}: (2,1) is not a chord'),
         (lambda d: _set_alg(d, {"chords": 3}), 'operation 0: bad descriptor {"chords": 3}: '),
         (lambda d: _set_alg(d, {"markers": [0, 1]}), "descriptor does not select 1 distinct arcs"),
+        (lambda d: d["algebra"].update(k="x"), "algebra: field 'k' = 'x' is invalid: invalid literal"),
+        (lambda d: d["algebra"].update(k=99), "algebra: field 'k' = 99 is invalid: k=99 out of range for 2 arcs"),
+        (lambda d: d["generators"][0].update(idempotent=5),
+         "generator 0: field 'idempotent' is not a list of arcs: 5"),
+        (lambda d: d["generators"][0].update(idempotent="01"),
+         "generator 0: field 'idempotent' is not a list of arcs: '01'"),
     ],
     ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
-         "range", "chord", "chords-int", "markers"],
+         "range", "chord", "chords-int", "markers", "k-str", "k-range", "idempotent-int",
+         "idempotent-str"],
 )
 def test_malformed_module_is_a_format_error(name, edit, message):
     data = json.loads((data_dir() / "modules" / f"{name}.json").read_text())
