@@ -43,14 +43,11 @@ from .modules import (
 )
 from .strands import (
     Algebra,
-    AlgebraElement,
     BasisElement,
     NotInMatchedSpan,
     check_algebra,
     consum_check,
     directedness_check,
-    enumerate_chords,
-    matched_basis,
     opposite_check,
 )
 from .surface import (

@@ -168,8 +168,7 @@ def torus_algebra() -> Algebra:
 
 
 def _chord(alg: Algebra, p: int, q: int) -> int:
-    (i,) = alg.from_descriptor({"chords": [[p, q]]}).support
-    return i
+    return alg.basis_index({"chords": [[p, q]]})
 
 
 def solid_torus_typeA(alg: Algebra | None = None) -> TypeAModule:

@@ -37,10 +37,6 @@ class ClosedDiagram:
     points: tuple[tuple[int, int], ...]  # (alpha index, beta index)
     regions: tuple[Region, ...]
 
-    @property
-    def basepoint_region(self) -> int:
-        return next(i for i, r in enumerate(self.regions) if r.has_z)
-
 
 def _get(obj, key: str, where: str, default=None):
     if not isinstance(obj, dict):

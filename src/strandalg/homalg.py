@@ -77,14 +77,11 @@ class ChainComplex:
 
     labels: tuple[str, ...]
     differential: tuple[int, ...]
-    idempotents: tuple[frozenset, ...] | None = None
 
     def __post_init__(self):
         n = len(self.labels)
         if len(self.differential) != n:
             raise ValueError("differential size does not match generator count")
-        if self.idempotents is not None and len(self.idempotents) != n:
-            raise ValueError("idempotent decoration size mismatch")
         full = (1 << n) - 1
         for i, mask in enumerate(self.differential):
             if mask & ~full:
@@ -179,7 +176,4 @@ def mapping_cone(f: ChainMap) -> ChainComplex:
     diff = [f.source.differential[i] | (f.matrix[i] << ns) for i in range(ns)] + [
         f.target.differential[i] << ns for i in range(f.target.rank)
     ]
-    idem = None
-    if f.source.idempotents is not None and f.target.idempotents is not None:
-        idem = f.source.idempotents + f.target.idempotents
-    return ChainComplex(labels, tuple(diff), idem)
+    return ChainComplex(labels, tuple(diff))

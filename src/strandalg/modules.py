@@ -148,7 +148,11 @@ def _load_algebra(ref, base_dir) -> Algebra:
     surf = _field(ref, "surface", "algebra")
     if isinstance(surf, str):
         path = Path(base_dir or ".") / surf
-        ds = parse_surface(path.read_text())
+        try:
+            text = path.read_text()
+        except OSError as e:
+            raise ModuleFormatError(f"algebra: field 'surface' = {surf!r} is invalid: cannot read {path}: {e.strerror}") from e
+        ds = parse_surface(text)
     else:
         ds = parse_surface(json.dumps(surf))
     k = _field(ref, "k", "algebra")
@@ -161,10 +165,9 @@ def _load_algebra(ref, base_dir) -> Algebra:
 def _basis_index(algebra: Algebra, n: int, desc) -> int:
     """The basis element that descriptor desc of operation n names."""
     try:
-        (i,) = algebra.from_descriptor(desc).support
+        return algebra.basis_index(desc)
     except (ValueError, TypeError, AttributeError) as e:
         raise ModuleFormatError(f"operation {n}: bad descriptor {json.dumps(desc, default=repr)}: {e}") from e
-    return i
 
 
 def _check_ends(n: int, op: dict, idem: dict) -> None:
@@ -394,8 +397,7 @@ def box_tensor(m: TypeAModule, n: TypeDModule, depth: int | None = None) -> Chai
         diff.append(mask)
 
     labels = tuple(f"{x}|{y}" for x, y in pairs)
-    idems = tuple(m.idem[x] for x, _ in pairs)
-    return ChainComplex(labels, tuple(diff), idems)
+    return ChainComplex(labels, tuple(diff))
 
 
 def dual_type_d(m: TypeAModule) -> TypeDModule:

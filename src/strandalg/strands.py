@@ -10,6 +10,10 @@ product are computed on the diagrams (crossing resolution dropping the
 inversion count by exactly one; composition with additive inversion count) and
 contracted back to the matched basis.
 
+Algebra elements are named by basis index: the tables map an index, or a
+frozenset of indices (a GF(2) sum), to the frozenset of its image.  Basis
+descriptors name them in files and failure witnesses.
+
 Nothing here looks at the complement faces: the algebra depends only on the
 intervals, the positions, and the matching.
 """
@@ -48,6 +52,13 @@ class BasisElement(NamedTuple):
 
 def _sorted_diagram(strands) -> tuple:
     return tuple(sorted(strands))
+
+
+def _basis_element(f_map: dict, assign_map: dict) -> BasisElement:
+    """The basis element sending each source arc i to f_map[i], along the
+    chord assign_map[i] or, where that is None, an identity marker."""
+    s = tuple(sorted(f_map))
+    return BasisElement(s, tuple(sorted(f_map.values())), tuple(f_map[i] for i in s), tuple(assign_map[i] for i in s))
 
 
 class Algebra:
@@ -119,9 +130,6 @@ class Algebra:
 
     # -- basis -------------------------------------------------------------
 
-    def chord_count(self) -> int:
-        return sum(len(v) for v in self.chords.values())
-
     def _options(self, i: int, j: int):
         opts = [(p, q) for (p, q) in self.chords.get((i, j), ())]
         if i == j:
@@ -139,28 +147,17 @@ class Algebra:
                     for assign in itertools.product(*pools):
                         yield BasisElement(s, t, image, assign)
 
-    def idempotent(self, s) -> "AlgebraElement":
-        s = tuple(sorted(s))
-        b = BasisElement(s, s, s, (None,) * len(s))
-        return AlgebraElement(self, frozenset([self.index[b]]))
-
-    def idempotents(self):
-        return [self.idempotent(s) for s in itertools.combinations(range(self.n_arcs), self.k)]
+    def idempotents(self) -> list[int]:
+        return [self.idempotent_index(s) for s in itertools.combinations(range(self.n_arcs), self.k)]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def element(self, indices) -> "AlgebraElement":
-        return AlgebraElement(self, frozenset(indices))
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, frozenset())
-
-    def from_descriptor(self, desc: dict) -> "AlgebraElement":
-        """Resolve {"chords": [[p, q], ...], "markers": [arc, ...]} to a basis
-        element."""
-        s, f_map, assign_map = [], {}, {}
+    def basis_index(self, desc: dict) -> int:
+        """Resolve {"chords": [[p, q], ...], "markers": [arc, ...]} to the
+        index of a basis element."""
+        f_map, assign_map = {}, {}
         for p, q in desc.get("chords", ()):
             if not (0 <= p < self.n_positions and 0 <= q < self.n_positions):
                 raise ValueError(f"position out of range in chord ({p},{q})")
@@ -169,22 +166,19 @@ class Algebra:
                 raise ValueError(f"({p},{q}) is not a chord")
             if i in assign_map:
                 raise ValueError(f"two chords start on arc {i}")
-            s.append(i)
             f_map[i] = j
             assign_map[i] = (p, q)
         for a in desc.get("markers", ()):
             if a in assign_map:
                 raise ValueError(f"arc {a} both marked and chorded")
-            s.append(a)
             f_map[a] = a
             assign_map[a] = None
-        s = tuple(sorted(s))
-        if len(s) != self.k or len(set(s)) != len(s):
+        if len(f_map) != self.k:
             raise ValueError(f"descriptor does not select {self.k} distinct arcs")
-        b = BasisElement(s, tuple(sorted(f_map[i] for i in s)), tuple(f_map[i] for i in s), tuple(assign_map[i] for i in s))
-        if b not in self.index:
+        i = self.index.get(_basis_element(f_map, assign_map))
+        if i is None:
             raise ValueError("descriptor is not a basis element")
-        return AlgebraElement(self, frozenset([self.index[b]]))
+        return i
 
     def descriptor(self, b: BasisElement) -> dict:
         return {
@@ -216,9 +210,6 @@ class Algebra:
         for pick in itertools.product(*(self.arc_positions[a] for a in choice_arcs)):
             out.append(_sorted_diagram(fixed + [(p, p) for p in pick]))
         return frozenset(out)
-
-    def expand(self, b: BasisElement) -> frozenset:
-        return self._expansions[self.index[b]]
 
     def inversions(self, diagram) -> int:
         inv = 0
@@ -272,8 +263,7 @@ class Algebra:
                 assign_map[i] = (p, q)
         if len(set(f_map.values())) != len(f_map):
             return None
-        s = tuple(sorted(f_map))
-        b = BasisElement(s, tuple(sorted(f_map.values())), tuple(f_map[i] for i in s), tuple(assign_map[i] for i in s))
+        b = _basis_element(f_map, assign_map)
         return b if b in self.index else None
 
     def contract(self, diagrams) -> frozenset:
@@ -365,8 +355,7 @@ class Algebra:
         return frozenset(self.basis[i].t)
 
     def idempotent_index(self, arcs) -> int:
-        s = tuple(sorted(arcs))
-        return self.index[BasisElement(s, s, s, (None,) * len(s))]
+        return self.index[_basis_element({a: a for a in arcs}, dict.fromkeys(arcs))]
 
     def is_idempotent_index(self, i: int) -> bool:
         return self.basis[i].is_idempotent()
@@ -397,36 +386,6 @@ class Algebra:
         }
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A GF(2) formal sum of matched basis elements of a fixed algebra."""
-
-    algebra: Algebra
-    support: frozenset
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        assert self.algebra is other.algebra
-        return AlgebraElement(self.algebra, self.support ^ other.support)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        assert self.algebra is other.algebra
-        return AlgebraElement(self.algebra, self.algebra.mul_support(self.support, other.support))
-
-    def diff(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.algebra.diff_support(self.support))
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def terms(self) -> list[BasisElement]:
-        return sorted(self.algebra.basis[i] for i in self.support)
-
-    def __repr__(self):
-        if not self.support:
-            return "0"
-        return " + ".join(str(self.algebra.descriptor(b)) for b in self.terms())
-
-
 # ---------------------------------------------------------------------------
 # surface-level operations
 
@@ -437,17 +396,6 @@ def _interval_arcs(ds: DecoratedSurface) -> tuple:
         arc_of[a] = i
         arc_of[b] = i
     return tuple(tuple(arc_of[t] for t in iv) for iv in ds.intervals())
-
-
-def enumerate_chords(ds: DecoratedSurface) -> dict:
-    """The chord table chi[i][j]: all positively oriented boundary chords from
-    the endpoints of arc i to the endpoints of arc j."""
-    alg = Algebra.from_surface(ds, 0)
-    return dict(alg.chords)
-
-
-def matched_basis(ds: DecoratedSurface, k: int) -> tuple[BasisElement, ...]:
-    return Algebra.from_surface(ds, k).basis
 
 
 @dataclass
@@ -556,13 +504,11 @@ def check_algebra(
         ok = True
         idems = alg.idempotents()
         for a, b in itertools.product(idems, idems):
-            expect = a.support if a.support == b.support else frozenset()
-            residue = (a * b).support ^ expect
+            residue = alg.mul_basis(a, b) ^ (frozenset([a]) if a == b else _ZERO)
             if residue:
                 ok = False
-                (ea,), (eb,) = a.support, b.support
                 failures.append(
-                    f"idempotent orthogonality fails on ({alg.describe(ea)}, {alg.describe(eb)}): "
+                    f"idempotent orthogonality fails on ({alg.describe(a)}, {alg.describe(b)}): "
                     f"residue {alg.describe_sum(residue)}"
                 )
         # a_i sits between I(s) and I(t); its products with every other
@@ -612,9 +558,7 @@ def opposite_algebra_map(ds: DecoratedSurface, k: int):
         for i, j, c in zip(b.s, b.f, b.assign):
             f_map[j] = i
             assign_map[j] = None if c is None else (pm[c[1]], pm[c[0]])
-        t = tuple(sorted(f_map))
-        rb = BasisElement(t, b.s, tuple(f_map[j] for j in t), tuple(assign_map[j] for j in t))
-        return ralg.index[rb]
+        return ralg.index[_basis_element(f_map, assign_map)]
 
     return alg, ralg, [op_basis(b) for b in alg.basis]
 
@@ -702,14 +646,7 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
                     return None
                 f_map[i - off] = j - off
                 assign_map[i - off] = (p, q)
-        out = []
-        for side in (0, 1):
-            f_map, assign_map = parts[side]
-            s = tuple(sorted(f_map))
-            out.append(
-                BasisElement(s, tuple(sorted(f_map.values())), tuple(f_map[i] for i in s), tuple(assign_map[i] for i in s))
-            )
-        return out
+        return [_basis_element(*parts[side]) for side in (0, 1)]
 
     pair_of: list[tuple[int, int, int]] = []  # (k1, index in A1, index in A2)
     for bi, b in enumerate(asum.basis):

@@ -40,8 +40,7 @@ I0, I1 = frozenset([0]), frozenset([1])
 
 
 def chord(p, q, alg=ALG):
-    (i,) = alg.from_descriptor({"chords": [[p, q]]}).support
-    return i
+    return alg.basis_index({"chords": [[p, q]]})
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +399,12 @@ def _set_alg(data, desc):
          "generator 0: field 'idempotent' is not a list of arcs: 5"),
         (lambda d: d["generators"][0].update(idempotent="01"),
          "generator 0: field 'idempotent' is not a list of arcs: '01'"),
+        (lambda d: d["algebra"].update(surface="nope.json"),
+         f"algebra: field 'surface' = 'nope.json' is invalid: cannot read {data_dir() / 'modules' / 'nope.json'}: "),
     ],
     ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
          "range", "chord", "chords-int", "markers", "k-str", "k-range", "idempotent-int",
-         "idempotent-str"],
+         "idempotent-str", "surface"],
 )
 def test_malformed_module_is_a_format_error(name, edit, message):
     data = json.loads((data_dir() / "modules" / f"{name}.json").read_text())

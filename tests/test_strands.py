@@ -20,8 +20,6 @@ from strandalg.strands import (
     check_algebra,
     consum_check,
     directedness_check,
-    enumerate_chords,
-    matched_basis,
     opposite_algebra_map,
     opposite_check,
 )
@@ -36,12 +34,12 @@ DISC1 = disc_with_arc()
 
 
 def test_chords_disc_with_one_arc():
-    chords = enumerate_chords(DISC1)
+    chords = Algebra.from_surface(DISC1, 0).chords
     assert chords == {(0, 0): ((0, 1),)}
 
 
 def test_chords_interleaved():
-    chords = enumerate_chords(TORUS)
+    chords = Algebra.from_surface(TORUS, 0).chords
     sizes = {pair: len(cs) for pair, cs in chords.items()}
     assert sizes == {(0, 0): 1, (1, 1): 1, (0, 1): 3, (1, 0): 1}
     assert sum(sizes.values()) == 6
@@ -49,7 +47,7 @@ def test_chords_interleaved():
 
 def test_chords_respect_interval_locality():
     ds = make_surface([["z", "e1", "e2", "z", "e3", "e4"]], [["e1", "e2"], ["e3", "e4"]])
-    chords = enumerate_chords(ds)
+    chords = Algebra.from_surface(ds, 0).chords
     assert sum(len(cs) for cs in chords.values()) == 2
 
 
@@ -58,9 +56,9 @@ def test_chords_respect_interval_locality():
 
 
 def test_basis_dimensions_interleaved():
-    assert len(matched_basis(TORUS, 0)) == 1
-    assert len(matched_basis(TORUS, 1)) == 8
-    assert len(matched_basis(TORUS, 2)) == 7
+    assert len(Algebra.from_surface(TORUS, 0).basis) == 1
+    assert len(Algebra.from_surface(TORUS, 1).basis) == 8
+    assert len(Algebra.from_surface(TORUS, 2).basis) == 7
 
 
 def test_basis_block_split_k1():
@@ -94,13 +92,13 @@ def test_idempotent_count_is_n_choose_k():
 
 def test_expand_idempotent_two_sections():
     alg = Algebra.from_surface(TORUS, 1)
-    (i,) = alg.idempotent([0]).support
+    i = alg.idempotent_index([0])
     assert alg._expansions[i] == frozenset({((0, 0),), ((2, 2),)})
 
 
 def test_expand_chord_pair_single_diagram():
     alg = Algebra.from_surface(TORUS, 2)
-    (i,) = alg.from_descriptor({"chords": [[0, 2], [1, 3]]}).support
+    i = alg.basis_index({"chords": [[0, 2], [1, 3]]})
     (d,) = alg._expansions[i]
     assert d == ((0, 2), (1, 3))
     assert alg.inversions(d) == 0
@@ -108,7 +106,7 @@ def test_expand_chord_pair_single_diagram():
 
 def test_expand_marker_with_chord_inversions():
     alg = Algebra.from_surface(TORUS, 2)
-    (i,) = alg.from_descriptor({"chords": [[1, 3]], "markers": [0]}).support
+    i = alg.basis_index({"chords": [[1, 3]], "markers": [0]})
     exp = alg._expansions[i]
     assert exp == frozenset({((0, 0), (1, 3)), ((1, 3), (2, 2))})
     assert sorted(alg.inversions(d) for d in exp) == [0, 1]
@@ -147,41 +145,40 @@ def test_diff_of_idempotents_vanishes():
     for k in (0, 1, 2):
         alg = Algebra.from_surface(TORUS, k)
         for e in alg.idempotents():
-            assert e.diff().is_zero()
+            assert not alg.diff_basis(e)
 
 
 def test_diff_crossing_resolution():
     alg = Algebra.from_surface(TORUS, 2)
-    crossed = alg.from_descriptor({"chords": [[0, 3], [1, 2]]})
-    straight = alg.from_descriptor({"chords": [[0, 2], [1, 3]]})
-    assert crossed.diff() == straight
+    crossed = alg.basis_index({"chords": [[0, 3], [1, 2]]})
+    straight = alg.basis_index({"chords": [[0, 2], [1, 3]]})
+    assert alg.diff_basis(crossed) == {straight}
 
 
 def test_diff_marker_term():
     alg = Algebra.from_surface(TORUS, 2)
-    e = alg.from_descriptor({"chords": [[1, 3]], "markers": [0]})
-    expect = alg.from_descriptor({"chords": [[2, 3], [1, 2]]})
-    assert e.diff() == expect
+    e = alg.basis_index({"chords": [[1, 3]], "markers": [0]})
+    expect = alg.basis_index({"chords": [[2, 3], [1, 2]]})
+    assert alg.diff_basis(e) == {expect}
 
 
 def test_idempotents_act_as_units():
     alg = Algebra.from_surface(TORUS, 1)
     for i in range(alg.dim):
-        b = alg.element([i])
-        src = alg.idempotent(alg.basis[i].s)
-        tgt = alg.idempotent(alg.basis[i].t)
-        other = alg.idempotent([1 - alg.basis[i].s[0]])
-        assert src * b == b
-        assert b * tgt == b
-        assert (other * b).is_zero() or other.support == src.support
+        src = alg.idempotent_index(alg.basis[i].s)
+        tgt = alg.idempotent_index(alg.basis[i].t)
+        other = alg.idempotent_index([1 - alg.basis[i].s[0]])
+        assert alg.mul_basis(src, i) == {i}
+        assert alg.mul_basis(i, tgt) == {i}
+        assert not alg.mul_basis(other, i) or other == src
 
 
 def test_mul_concatenation():
     alg = Algebra.from_surface(TORUS, 1)
-    c01 = alg.from_descriptor({"chords": [[0, 1]]})
-    c12 = alg.from_descriptor({"chords": [[1, 2]]})
-    assert c01 * c12 == alg.from_descriptor({"chords": [[0, 2]]})
-    assert (c01 * c01).is_zero()
+    c01 = alg.basis_index({"chords": [[0, 1]]})
+    c12 = alg.basis_index({"chords": [[1, 2]]})
+    assert alg.mul_basis(c01, c12) == {alg.basis_index({"chords": [[0, 2]]})}
+    assert not alg.mul_basis(c01, c01)
 
 
 def test_algebra_depends_only_on_intervals_and_matching():
@@ -230,6 +227,23 @@ def test_dimension_formula_against_brute_force():
     for _, ds in corpus_surfaces()[:20]:
         for k in range(ds.n_arcs + 1):
             assert Algebra.from_surface(ds, k).dim == brute_force_dimension(ds, k)
+
+
+GENUS3 = {"onedisc_g3": one_disc_decoration(3), "doublecover_g3": double_cover_decoration(3)}
+GENUS3_DIMS = {
+    "onedisc_g3": {k: d for k, d in enumerate((1, 72, 1589, 12448, 30451, 14744, 343))},
+    "doublecover_g3": {3: 5075, 4: 12411, 5: 9219, 6: 1093},
+}
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name, dims in GENUS3_DIMS.items() for k in dims])
+def test_genus3_dimensions(name, k):
+    assert Algebra.from_surface(GENUS3[name], k).dim == GENUS3_DIMS[name][k]
+
+
+@pytest.mark.parametrize("name, k", [("onedisc_g3", k) for k in (0, 1, 2, 3, 6)] + [("doublecover_g3", 3)])
+def test_genus3_dimensions_against_brute_force(name, k):
+    assert brute_force_dimension(GENUS3[name], k) == GENUS3_DIMS[name][k]
 
 
 def test_dimension_formula_matches_chord_table():
@@ -442,8 +456,7 @@ def test_check_algebra_rejects_a_foreign_algebra():
 
 
 def _torus_element(alg, **desc):
-    (i,) = alg.from_descriptor(desc).support
-    return i
+    return alg.basis_index(desc)
 
 
 def _filled_torus(k):
@@ -484,8 +497,17 @@ def _opposite_of(alg, monkeypatch):
             'product not transposed at ({"chords": [[0, 2]], "markers": [1]}, '
             '{"chords": [[1, 2], [2, 3]], "markers": []}): residue [{"chords": [[0, 3], [1, 2]], "markers": []}]',
         ),
+        (
+            1,
+            {"markers": [0]},
+            {"markers": [0]},
+            'idempotent orthogonality fails on ({"chords": [], "markers": [0]}, {"chords": [], "markers": [0]}): '
+            'residue [{"chords": [], "markers": [0]}]',
+            'product not transposed at ({"chords": [], "markers": [0]}, {"chords": [], "markers": [0]}): '
+            'residue [{"chords": [], "markers": [0]}]',
+        ),
     ],
-    ids=["k1", "k2"],
+    ids=["k1", "k2", "idempotent"],
 )
 def test_corrupted_product_is_caught(k, left, right, witness, opposite, monkeypatch):
     alg = _filled_torus(k)
