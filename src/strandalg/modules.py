@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import operator
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,8 +20,8 @@ from .homalg import ChainComplex
 from .strands import Algebra
 from .surface import parse_surface
 
-DEPTH_ENV = "STRANDALG_DELTA_DEPTH"
-DEFAULT_DEPTH = 64
+# longest delta chain box_tensor follows before raising DepthExceeded
+MAX_DEPTH = 64
 
 
 class ModuleFormatError(ValueError):
@@ -34,26 +33,11 @@ class IdempotentMismatch(ValueError):
 
 
 class DepthExceeded(RuntimeError):
-    """delta iteration passed the configured bound without vanishing."""
+    """delta iteration passed MAX_DEPTH without vanishing."""
 
 
 class TruncationUnsound(RuntimeError):
     """The finite morphism-complex model does not apply to this input."""
-
-
-def _delta_depth(depth: int | None) -> int:
-    if depth is not None:
-        return depth
-    raw = os.environ.get(DEPTH_ENV)
-    if raw is None:
-        return DEFAULT_DEPTH
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ModuleFormatError(f"{DEPTH_ENV}={raw!r} is not a non-negative integer")
-    return value
 
 
 def _same_algebra(a: Algebra, b: Algebra) -> bool:
@@ -181,12 +165,16 @@ def _check_ends(n: int, op: dict, idem: dict) -> None:
 
 def load_module(source, algebra: Algebra | None = None, base_dir=None):
     """Load a type A or type D module from a JSON file path, text, or dict."""
-    if isinstance(source, (str, Path)) and str(source).lstrip().startswith("{"):
-        data = json.loads(source)
-    elif isinstance(source, (str, Path)):
-        path = Path(source)
-        data = json.loads(path.read_text())
-        base_dir = base_dir or path.parent
+    if isinstance(source, (str, Path)):
+        text = str(source)
+        if not text.lstrip().startswith("{"):
+            path = Path(source)
+            text = path.read_text()
+            base_dir = base_dir or path.parent
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ModuleFormatError(f"module is not valid JSON: {e}") from e
     else:
         data = source
     kind = _field(data, "type", "module")
@@ -357,14 +345,13 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
 # pairings
 
 
-def box_tensor(m: TypeAModule, n: TypeDModule, depth: int | None = None) -> ChainComplex:
+def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
     """Box tensor product: generators are idempotent-matched pairs, the
     differential feeds iterated delta chains of the type D side into the
-    type A actions.  Iteration truncates at j_max; if the configured depth
-    bound is hit first, DepthExceeded is raised."""
+    type A actions.  Iteration truncates at j_max; if MAX_DEPTH is hit
+    first, DepthExceeded is raised."""
     if not _same_algebra(m.algebra, n.algebra):
         raise ModuleFormatError("box tensor of modules over different algebras")
-    bound = _delta_depth(depth)
     jmax = m.j_max
 
     pairs = [
@@ -381,8 +368,8 @@ def box_tensor(m: TypeAModule, n: TypeDModule, depth: int | None = None) -> Chai
         j = 0
         while chains and j < jmax:
             j += 1
-            if j > bound:
-                raise DepthExceeded(f"delta iteration exceeded depth {bound}")
+            if j > MAX_DEPTH:
+                raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
             nxt = []
             for args, yy in chains:
                 for a, y2 in n.delta_of(yy):
@@ -442,7 +429,7 @@ def nilpotence_order(alg: Algebra) -> int:
     return j
 
 
-def mor_complex(m1: TypeAModule, m2: TypeAModule, depth: int | None = None) -> ChainComplex:
+def mor_complex(m1: TypeAModule, m2: TypeAModule) -> ChainComplex:
     """Morphism complex of two type A modules over the same algebra.
 
     The naive bar-type complex Hom(M1 (x) A^j, M2) is infinite whenever the
@@ -461,4 +448,4 @@ def mor_complex(m1: TypeAModule, m2: TypeAModule, depth: int | None = None) -> C
         raise TruncationUnsound(
             "dual of the source module is not a type D structure: " + "; ".join(rep.failures)
         )
-    return box_tensor(m2, dual, depth)
+    return box_tensor(m2, dual)

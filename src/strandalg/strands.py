@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .surface import DecoratedSurface, analyze_surface, boundary_connected_sum, reverse_orientation
+from .surface import DecoratedSurface, boundary_connected_sum, reverse_orientation
 
 
 class NotInMatchedSpan(ValueError):
@@ -103,12 +103,10 @@ class Algebra:
 
         self.basis: tuple[BasisElement, ...] = tuple(self._enumerate_basis())
         self.index: dict[BasisElement, int] = {b: i for i, b in enumerate(self.basis)}
-        self.blocks: dict[tuple, list[int]] = {}
         # source idempotent -> ascending basis indices with that source; a
         # product a_i * a_j can be nonzero only for j in by_source[t(a_i)]
         self.by_source: dict[tuple, list[int]] = {}
         for i, b in enumerate(self.basis):
-            self.blocks.setdefault((b.s, b.t), []).append(i)
             self.by_source.setdefault(b.s, []).append(i)
         self._expansions: list[frozenset] = [self._expand(b) for b in self.basis]
         self._owner: dict[tuple, int] = {}
@@ -169,6 +167,8 @@ class Algebra:
             f_map[i] = j
             assign_map[i] = (p, q)
         for a in desc.get("markers", ()):
+            if a in assign_map and assign_map[a] is None:
+                raise ValueError(f"arc {a} marked twice")
             if a in assign_map:
                 raise ValueError(f"arc {a} both marked and chorded")
             f_map[a] = a
@@ -401,10 +401,8 @@ def _interval_arcs(ds: DecoratedSurface) -> tuple:
 @dataclass
 class AlgebraCheckReport:
     dim: int
-    idempotent_count: int
     laws: dict
     failures: list
-    every_face_marked: bool
 
     @property
     def ok(self) -> bool:
@@ -526,21 +524,31 @@ def check_algebra(
             failures.append("idempotent count differs from C(n, k)")
         laws["idempotents"] = ok
 
-    return AlgebraCheckReport(
-        dim=alg.dim,
-        idempotent_count=len(alg.idempotents()),
-        laws=laws,
-        failures=failures,
-        every_face_marked=analyze_surface(ds).every_face_marked,
-    )
+    return AlgebraCheckReport(dim=alg.dim, laws=laws, failures=failures)
 
 
-def _reversal_position_map(ds: DecoratedSurface, rds: DecoratedSurface):
-    """Position correspondence induced by orientation reversal, via endpoint
-    tokens."""
-    tok_at = [t for iv in ds.intervals() for t in iv]
-    rpos_of_tok = {t: p for p, t in enumerate(t for iv in rds.intervals() for t in iv)}
-    return [rpos_of_tok[t] for t in tok_at]
+def _token_positions(ds: DecoratedSurface) -> dict[str, int]:
+    """Endpoint token -> algebra position, in position order."""
+    return {t: p for p, t in enumerate(t for iv in ds.intervals() for t in iv)}
+
+
+def _isomorphism_failures(alg: Algebra, image, d_image, m_image, residue, product_word: str) -> list[str]:
+    """Witnesses that the basis bijection i -> image[i] does not carry the
+    differential and product of alg to d_image(i) and m_image(i, j), both sets
+    of images: the first failing basis element and the first failing
+    composable pair.  residue names a set of images in a witness."""
+    failures: list[str] = []
+    for i in range(alg.dim):
+        if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
+            failures.append(f"differential not intertwined at {alg.describe(i)}: residue {residue(r)}")
+            break
+    for i, j in alg.composable_pairs():
+        if r := {image[x] for x in alg.mul_basis(i, j)} ^ m_image(i, j):
+            failures.append(
+                f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}"
+            )
+            break
+    return failures
 
 
 def opposite_algebra_map(ds: DecoratedSurface, k: int):
@@ -550,7 +558,8 @@ def opposite_algebra_map(ds: DecoratedSurface, k: int):
     rds = reverse_orientation(ds)
     alg = Algebra.from_surface(ds, k)
     ralg = Algebra.from_surface(rds, k)
-    pm = _reversal_position_map(ds, rds)
+    rpos = _token_positions(rds)
+    pm = [rpos[t] for t in _token_positions(ds)]
 
     def op_basis(b: BasisElement) -> int:
         f_map = {}
@@ -576,24 +585,15 @@ def opposite_check(ds: DecoratedSurface, k: int, verbose: bool = False):
         failures.append("dimension mismatch")
     if len(set(op)) != alg.dim:
         failures.append("basis reversal is not a bijection")
-
-    for i in range(alg.dim):
-        lhs = frozenset(op[x] for x in alg.diff_basis(i))
-        rhs = ralg.diff_basis(op[i])
-        if lhs != rhs:
-            failures.append(
-                f"differential not intertwined at {alg.describe(i)}: residue {ralg.describe_sum(lhs ^ rhs)}"
-            )
-            break
-    for i, j in alg.composable_pairs():
-        lhs = frozenset(op[x] for x in alg.mul_basis(i, j))
-        rhs = ralg.mul_basis(op[j], op[i])
-        if lhs != rhs:
-            failures.append(
-                f"product not transposed at ({alg.describe(i)}, {alg.describe(j)}): "
-                f"residue {ralg.describe_sum(lhs ^ rhs)}"
-            )
-            break
+    if not failures:
+        failures = _isomorphism_failures(
+            alg,
+            op,
+            lambda i: ralg.diff_basis(op[i]),
+            lambda i, j: ralg.mul_basis(op[j], op[i]),
+            ralg.describe_sum,
+            "transposed",
+        )
 
     ok = not failures
     return (ok, failures) if verbose else ok
@@ -608,15 +608,11 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
     asum = Algebra.from_surface(dsum, k)
     failures: list[str] = []
 
-    tok_pos1 = {t: p for p, t in enumerate(tt for iv in ds1.intervals() for tt in iv)}
-    tok_pos2 = {t: p for p, t in enumerate(tt for iv in ds2.intervals() for tt in iv)}
-    sum_toks = [t for iv in dsum.intervals() for t in iv]
-
-    def split_pos(p_sum: int):
-        tok = sum_toks[p_sum]
-        if tok.startswith("eL"):
-            return 0, tok_pos1["e" + tok[2:]]
-        return 1, tok_pos2["e" + tok[2:]]
+    pos1, pos2 = _token_positions(ds1), _token_positions(ds2)
+    # sum-algebra position -> (side, position in that summand's algebra)
+    split_pos = [
+        (0, pos1["e" + t[2:]]) if t.startswith("eL") else (1, pos2["e" + t[2:]]) for t in _token_positions(dsum)
+    ]
 
     algs1 = {kk: Algebra.from_surface(ds1, kk) for kk in range(0, min(k, n1) + 1)}
     algs2 = {kk: Algebra.from_surface(ds2, kk) for kk in range(0, min(k, ds2.n_arcs) + 1) if k - kk <= n1}
@@ -640,8 +636,8 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
                 f_map[i - off] = i - off
                 assign_map[i - off] = None
             else:
-                sd1, p = split_pos(c[0])
-                sd2, q = split_pos(c[1])
+                sd1, p = split_pos[c[0]]
+                sd2, q = split_pos[c[1]]
                 if sd1 != side or sd2 != side:
                     return None
                 f_map[i - off] = j - off
@@ -667,40 +663,27 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
     if not failures:
         index_of = {p: bi for bi, p in enumerate(pair_of)}
 
-        def residue(lhs, rhs) -> str:
-            return asum.describe_sum(index_of[p] for p in lhs ^ rhs)
-
-        for bi in range(asum.dim):
+        def d_image(bi):
             k1, i1, i2 = pair_of[bi]
             a1, a2 = algs1[k1], algs2[k - k1]
-            lhs = {pair_of[x] for x in asum.diff_basis(bi)}
-            rhs = {(k1, y, i2) for y in a1.diff_basis(i1)} ^ {(k1, i1, y) for y in a2.diff_basis(i2)}
-            if lhs != rhs:
-                failures.append(
-                    f"differential not intertwined at {asum.describe(bi)}: residue {residue(lhs, rhs)}"
-                )
-                break
+            return {(k1, y, i2) for y in a1.diff_basis(i1)} ^ {(k1, i1, y) for y in a2.diff_basis(i2)}
 
-    if not failures:
-        for bi, bj in asum.composable_pairs():
+        def m_image(bi, bj):
             k1, i1, i2 = pair_of[bi]
             l1, j1, j2 = pair_of[bj]
-            lhs = {pair_of[x] for x in asum.mul_basis(bi, bj)}
             if k1 != l1:
-                rhs = set()
-            else:
-                a1, a2 = algs1[k1], algs2[k - k1]
-                rhs = {
-                    (k1, u, v)
-                    for u in a1.mul_basis(i1, j1)
-                    for v in a2.mul_basis(i2, j2)
-                }
-            if lhs != rhs:
-                failures.append(
-                    f"product not intertwined at ({asum.describe(bi)}, {asum.describe(bj)}): "
-                    f"residue {residue(lhs, rhs)}"
-                )
-                break
+                return set()
+            a1, a2 = algs1[k1], algs2[k - k1]
+            return {(k1, u, v) for u in a1.mul_basis(i1, j1) for v in a2.mul_basis(i2, j2)}
+
+        failures = _isomorphism_failures(
+            asum,
+            pair_of,
+            d_image,
+            m_image,
+            lambda r: asum.describe_sum(index_of[p] for p in r),
+            "intertwined",
+        )
 
     ok = not failures
     return (ok, failures) if verbose else ok

@@ -3,9 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from strandalg import corpus
 from strandalg.acceptance import CRITERIA
 from strandalg.cli import run
 from strandalg.corpus import data_dir
+from strandalg.diagrams import parse_diagram
+from strandalg.surface import parse_surface
 
 DATA = data_dir()
 TORUS = str(DATA / "surfaces" / "torus.json")
@@ -14,6 +17,27 @@ LENS5 = str(DATA / "diagrams" / "lens5.json")
 TYPE_A = str(DATA / "modules" / "solid_torus_typeA.json")
 TYPE_D = str(DATA / "modules" / "filling3_typeD.json")
 REV_A = str(DATA / "modules" / "filling3_rev_typeA.json")
+
+
+# the bundled example files are copies of the corpus builders
+BUILDERS = {
+    "surfaces/disc.json": (parse_surface, corpus.disc),
+    "surfaces/disc_with_arc.json": (parse_surface, corpus.disc_with_arc),
+    "surfaces/torus.json": (parse_surface, corpus.torus_decoration),
+    "surfaces/doublecover_g1.json": (parse_surface, lambda: corpus.double_cover_decoration(1)),
+    "surfaces/doublecover_g2.json": (parse_surface, lambda: corpus.double_cover_decoration(2)),
+    "surfaces/onedisc_g2.json": (parse_surface, lambda: corpus.one_disc_decoration(2)),
+    **{f"diagrams/{name}.json": (parse_diagram, build) for name, build in corpus.NAMED_DIAGRAMS.items()},
+}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p.relative_to(DATA).as_posix() for kind in ("surfaces", "diagrams") for p in (DATA / kind).glob("*.json")),
+)
+def test_bundled_surfaces_and_diagrams_match_builders(path):
+    parse, build = BUILDERS[path]
+    assert parse((DATA / path).read_text()) == build()
 
 
 def test_validate():

@@ -16,6 +16,7 @@ from strandalg.corpus import (
 )
 from strandalg.diagrams import cf_hat
 from strandalg.modules import (
+    MAX_DEPTH,
     DepthExceeded,
     IdempotentMismatch,
     ModuleFormatError,
@@ -193,40 +194,23 @@ def test_box_requires_same_algebra():
         box_tensor(m, n)
 
 
-def _looping_pair():
-    # a valid self-looping delta plus a two-input action forces iteration past
-    # a small depth bound
+def _looping_pair(inputs: int):
+    # a valid self-looping delta plus an action with the given number of
+    # inputs makes the delta chains as long as that action
     n = TypeDModule(ALG, ("v",), {"v": I0}, {"v": frozenset([(chord(0, 2), "v")])})
     m = TypeAModule(
         ALG,
         ("x", "y"),
         {"x": I0, "y": I0},
-        {("x", (chord(0, 2), chord(0, 2))): frozenset(["y"])},
+        {("x", (chord(0, 2),) * inputs): frozenset(["y"])},
     )
     return m, n
 
 
 def test_box_depth_exceeded():
-    m, n = _looping_pair()
     with pytest.raises(DepthExceeded):
-        box_tensor(m, n, depth=1)
-    c = box_tensor(m, n, depth=2)  # high enough bound succeeds
-    assert c.rank == 2
-
-
-def test_box_depth_env_override(monkeypatch):
-    m, n = _looping_pair()
-    monkeypatch.setenv("STRANDALG_DELTA_DEPTH", "1")
-    with pytest.raises(DepthExceeded):
-        box_tensor(m, n)
-
-
-@pytest.mark.parametrize("value", ["abc", "-1", ""])
-def test_box_depth_env_rejects_bad_values(monkeypatch, value):
-    m, n = _looping_pair()
-    monkeypatch.setenv("STRANDALG_DELTA_DEPTH", value)
-    with pytest.raises(ModuleFormatError, match=re.escape(f"STRANDALG_DELTA_DEPTH={value!r}")):
-        box_tensor(m, n)
+        box_tensor(*_looping_pair(MAX_DEPTH + 1))
+    assert box_tensor(*_looping_pair(MAX_DEPTH)).rank == 2
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +377,7 @@ def _set_alg(data, desc):
          'operation 0: bad descriptor {"chords": [[2, 1]]}: (2,1) is not a chord'),
         (lambda d: _set_alg(d, {"chords": 3}), 'operation 0: bad descriptor {"chords": 3}: '),
         (lambda d: _set_alg(d, {"markers": [0, 1]}), "descriptor does not select 1 distinct arcs"),
+        (lambda d: _set_alg(d, {"markers": [0, 0]}), 'bad descriptor {"markers": [0, 0]}: arc 0 marked twice'),
         (lambda d: d["algebra"].update(k="x"), "algebra: field 'k' = 'x' is invalid: invalid literal"),
         (lambda d: d["algebra"].update(k=99), "algebra: field 'k' = 99 is invalid: k=99 out of range for 2 arcs"),
         (lambda d: d["generators"][0].update(idempotent=5),
@@ -401,15 +386,24 @@ def _set_alg(data, desc):
          "generator 0: field 'idempotent' is not a list of arcs: '01'"),
         (lambda d: d["algebra"].update(surface="nope.json"),
          f"algebra: field 'surface' = 'nope.json' is invalid: cannot read {data_dir() / 'modules' / 'nope.json'}: "),
+        ('{"type": "D", ', "module is not valid JSON: "),
+        ("{not json", "module is not valid JSON: "),
     ],
     ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
-         "range", "chord", "chords-int", "markers", "k-str", "k-range", "idempotent-int",
-         "idempotent-str", "surface"],
+         "range", "chord", "chords-int", "markers", "markers-twice", "k-str", "k-range", "idempotent-int",
+         "idempotent-str", "surface", "json-truncated", "json-syntax"],
 )
-def test_malformed_module_is_a_format_error(name, edit, message):
+def test_malformed_module_is_a_format_error(name, edit, message, tmp_path):
     data = json.loads((data_dir() / "modules" / f"{name}.json").read_text())
-    edit(data)
-    with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:
-        load_module(data, base_dir=data_dir() / "modules")
-    # a missing field or a rejected descriptor is chained from its cause
-    assert (e.value.__cause__ is None) == ("field 'alg' is not a" in message)
+    if isinstance(edit, str):  # the module text itself: load it as text and from a file
+        path = tmp_path / f"{name}.json"
+        path.write_text(edit)
+        sources = [edit, path]
+    else:
+        edit(data)
+        sources = [data]
+    for source in sources:
+        with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:
+            load_module(source, base_dir=data_dir() / "modules")
+        # every error but a wrong-typed 'alg' field is chained from its cause
+        assert (e.value.__cause__ is None) == ("field 'alg' is not a" in message)

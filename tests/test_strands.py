@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from math import comb
 
 import pytest
@@ -63,7 +64,7 @@ def test_basis_dimensions_interleaved():
 
 def test_basis_block_split_k1():
     alg = Algebra.from_surface(TORUS, 1)
-    sizes = {st_: len(ix) for st_, ix in alg.blocks.items()}
+    sizes = Counter((b.s, b.t) for b in alg.basis)
     assert sizes == {((0,), (0,)): 2, ((0,), (1,)): 3, ((1,), (0,)): 1, ((1,), (1,)): 2}
 
 
@@ -465,14 +466,19 @@ def _filled_torus(k):
     return alg
 
 
-def _opposite_of(alg, monkeypatch):
-    """opposite_check(TORUS, k) run against the given torus algebra."""
+def _build_torus_as(alg, monkeypatch):
+    """Make Algebra.from_surface(TORUS, alg.k) return the given algebra."""
     build = Algebra.from_surface.__func__
 
     def from_surface(cls, ds, k):
         return alg if (ds, k) == (TORUS, alg.k) else build(cls, ds, k)
 
     monkeypatch.setattr(Algebra, "from_surface", classmethod(from_surface))
+
+
+def _opposite_of(alg, monkeypatch):
+    """opposite_check(TORUS, k) run against the given torus algebra."""
+    _build_torus_as(alg, monkeypatch)
     return opposite_check(TORUS, alg.k, verbose=True)
 
 
@@ -594,3 +600,35 @@ def test_created_product_is_caught(k, left, right, product, witness):
     assert not rep.laws["assoc"]
     assert witness in rep.failures
     assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
+
+
+def _lose_product_term(alg):
+    i, j = _torus_element(alg, chords=[[0, 2]]), _torus_element(alg, chords=[[2, 3]])
+    alg._mul[i, j] ^= {min(alg._mul[i, j])}
+
+
+def _gain_differential_term(alg):
+    alg._diff[_torus_element(alg, chords=[[0, 3]])] ^= {_torus_element(alg, chords=[[0, 1]])}
+
+
+@pytest.mark.parametrize(
+    "corrupt, witness",
+    [
+        (
+            _lose_product_term,
+            'product not intertwined at ({"chords": [[2, 4]], "markers": []}, {"chords": [[4, 5]], "markers": []}): '
+            'residue [{"chords": [[2, 5]], "markers": []}]',
+        ),
+        (
+            _gain_differential_term,
+            'differential not intertwined at {"chords": [[2, 5]], "markers": []}: '
+            'residue [{"chords": [[2, 3]], "markers": []}]',
+        ),
+    ],
+    ids=["product", "differential"],
+)
+def test_corrupted_summand_fails_consum_check(corrupt, witness, monkeypatch):
+    alg = _filled_torus(1)
+    corrupt(alg)
+    _build_torus_as(alg, monkeypatch)
+    assert consum_check(TORUS, DISC1, 1, verbose=True) == (False, [witness])
