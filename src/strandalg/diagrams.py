@@ -21,7 +21,15 @@ from .homalg import ChainComplex
 
 
 class DiagramError(ValueError):
-    pass
+    """Malformed or rejected diagram or domain data; ``code`` identifies the
+    reason: ``syntax`` (the JSON is not shaped like a diagram or domain),
+    ``invalid`` (the diagram does not close up into a surface), ``not-nice``
+    (a region without basepoint is neither a bigon nor a square) or
+    ``bad-domain`` (the domain does not fit the diagram)."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 @dataclass(frozen=True)
@@ -40,10 +48,10 @@ class ClosedDiagram:
 
 def _get(obj, key: str, where: str, default=None):
     if not isinstance(obj, dict):
-        raise DiagramError(f"{where} is not an object")
+        raise DiagramError("syntax", f"{where} is not an object")
     if key not in obj:
         if default is None:
-            raise DiagramError(f"{where} lacks field {key!r}")
+            raise DiagramError("syntax", f"{where} lacks field {key!r}")
         return default
     return obj[key]
 
@@ -53,13 +61,13 @@ def _int(obj, key: str, where: str, default=None) -> int:
     try:
         return int(value)
     except (TypeError, ValueError) as e:
-        raise DiagramError(f"{where}: field {key!r} is not an integer: {value!r}") from e
+        raise DiagramError("syntax", f"{where}: field {key!r} is not an integer: {value!r}") from e
 
 
 def _list(obj, key: str, where: str) -> list:
     value = _get(obj, key, where)
     if not isinstance(value, list):
-        raise DiagramError(f"{where}: field {key!r} is not a list")
+        raise DiagramError("syntax", f"{where}: field {key!r} is not a list")
     return value
 
 
@@ -68,14 +76,14 @@ def _corner(c, where: str) -> tuple[int, int]:
         p, q = c
         return int(p), int(q)
     except (TypeError, ValueError) as e:
-        raise DiagramError(f"{where}: field 'corners' holds {c!r}, not a pair of integers") from e
+        raise DiagramError("syntax", f"{where}: field 'corners' holds {c!r}, not a pair of integers") from e
 
 
 def _json(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise DiagramError(f"not valid JSON: {e}") from e
+        raise DiagramError("syntax", f"not valid JSON: {e}") from e
 
 
 def parse_diagram(text: str) -> ClosedDiagram:
@@ -123,22 +131,23 @@ def validate_diagram(d: ClosedDiagram):
     n = len(d.points)
     for a, b in d.points:
         if not (0 <= a < d.genus and 0 <= b < d.genus):
-            raise DiagramError("point tagged with out-of-range curve index")
+            raise DiagramError("invalid", "point tagged with out-of-range curve index")
     seen = set()
     for ri, r in enumerate(d.regions):
         for p, q in r.corners:
             if not (0 <= p < n) or not (0 <= q < 4):
-                raise DiagramError(f"region {ri} has a corner out of range")
+                raise DiagramError("invalid", f"region {ri} has a corner out of range")
             if (p, q) in seen:
-                raise DiagramError(f"corner ({p},{q}) used twice")
+                raise DiagramError("invalid", f"corner ({p},{q}) used twice")
             seen.add((p, q))
     if len(seen) != 4 * n:
-        raise DiagramError("inconsistent corner incidences: each point needs 4")
+        raise DiagramError("invalid", "inconsistent corner incidences: each point needs 4")
     if sum(1 for r in d.regions if r.has_z) != 1:
-        raise DiagramError("exactly one basepoint region required")
+        raise DiagramError("invalid", "exactly one basepoint region required")
     euler = sum(1 - 2 * r.genus for r in d.regions) - n
     if euler != 2 - 2 * d.genus:
         raise DiagramError(
+            "invalid",
             f"Euler characteristic {euler} does not match genus {d.genus}"
         )
 
@@ -162,7 +171,7 @@ def analyze_diagram(d: ClosedDiagram, require_nice: bool = True) -> DiagramRepor
     validate_diagram(d)
     nice = is_nice(d)
     if require_nice and not nice:
-        raise DiagramError("non-nice region without basepoint")
+        raise DiagramError("not-nice", "non-nice region without basepoint")
     return DiagramReport(
         genus=d.genus,
         num_points=len(d.points),
@@ -284,7 +293,7 @@ def parse_domain(text: str) -> DiagramDomain:
     try:
         multiplicities = tuple(int(v) for v in values)
     except (TypeError, ValueError) as e:
-        raise DiagramError(f"domain: field 'multiplicities' holds a non-integer: {values!r}") from e
+        raise DiagramError("syntax", f"domain: field 'multiplicities' holds a non-integer: {values!r}") from e
     return DiagramDomain(
         multiplicities=multiplicities,
         levels=_int(data, "levels", "domain", 1),
@@ -296,13 +305,13 @@ def euler_measure(d: ClosedDiagram, phi: DiagramDomain) -> Fraction:
     """Additive Euler measure: an embedded m-gon with convex corners counts
     1 - m/4."""
     if len(phi.multiplicities) != len(d.regions):
-        raise DiagramError("domain does not match the region count")
+        raise DiagramError("bad-domain", "domain does not match the region count")
     e = Fraction(0)
     for mult, r in zip(phi.multiplicities, d.regions):
         if mult == 0:
             continue
         if r.genus:
-            raise DiagramError("Euler measure needs disc regions in the support")
+            raise DiagramError("bad-domain", "Euler measure needs disc regions in the support")
         e += mult * (1 - Fraction(len(r.corners), 4))
     return e
 

@@ -8,7 +8,11 @@ element expands into 2^(#markers) unmatched strand diagrams, one horizontal
 strand per marker placed at either endpoint of its arc; the differential and
 product are computed on the diagrams (crossing resolution dropping the
 inversion count by exactly one; composition with additive inversion count) and
-contracted back to the matched basis.
+contracted back to the matched basis.  Two diagrams compose only where the
+end positions of the first are exactly the start positions of the second, so
+a_i * a_j can be nonzero only when an end set of a_i's expansion is a start
+set of a_j's; the table fill, the law checks and the dump skip every other
+pair unless the table under check holds a nonzero product there.
 
 Algebra elements are named by basis index: the tables map an index, or a
 frozenset of indices (a GF(2) sum), to the frozenset of its image.  Basis
@@ -121,6 +125,12 @@ class Algebra:
         # inversions)]
         self._as_left: dict[int, list] = {}
         self._as_right: dict[int, dict] = {}
+        # built on first use by product_pairs: start-position bitmask ->
+        # ascending indices with an expansion diagram starting there, and per
+        # basis element the start and end bitmasks of its expansion diagrams
+        self._starting_at: dict[int, list[int]] | None = None
+        self._start_masks: list[frozenset] = []
+        self._end_masks: list[frozenset] = []
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
@@ -194,12 +204,33 @@ class Algebra:
         """A GF(2) sum of basis elements as a JSON list of descriptors."""
         return "[" + ", ".join(self.describe(i) for i in sorted(support)) + "]"
 
-    def composable_pairs(self):
-        """Every (i, j) with target(a_i) == source(a_j), in lexicographic
-        order; all other products vanish."""
-        for i, b in enumerate(self.basis):
-            for j in self.by_source[b.t]:
+    def product_pairs(self):
+        """Every composable (i, j) whose product can be nonzero in the table
+        as it stands, in lexicographic order: some end set of a_i is a start
+        set of a_j, or the table holds a nonzero a_i * a_j.  Every other
+        composable product is an empty sum."""
+        if self._starting_at is None:
+            self._index_positions()
+        starting_at, starts, ends, basis = self._starting_at, self._start_masks, self._end_masks, self.basis
+        # a nonzero entry at a pair whose positions do not meet is a corrupted
+        # table's; snapshot them, since mul_basis fills _mul as pairs go by
+        stray: dict[int, set] = {}
+        for (i, j), p in self._mul.items():
+            if p and basis[i].t == basis[j].s and ends[i].isdisjoint(starts[j]):
+                stray.setdefault(i, set()).add(j)
+        for i, masks in enumerate(ends):
+            for j in sorted(stray.get(i, set()).union(*(starting_at.get(m, ()) for m in masks))):
                 yield i, j
+
+    def _index_positions(self) -> None:
+        starting_at: dict[int, list[int]] = {}
+        for j, exp in enumerate(self._expansions):
+            starts = frozenset(sum(1 << p for p, _ in d) for d in exp)
+            self._start_masks.append(starts)
+            self._end_masks.append(frozenset(sum(1 << q for _, q in d) for d in exp))
+            for mask in starts:
+                starting_at.setdefault(mask, []).append(j)
+        self._starting_at = starting_at
 
     # -- strand diagrams ----------------------------------------------------
 
@@ -368,7 +399,7 @@ class Algebra:
     def dump(self) -> dict:
         """Basis descriptors, differential, and sparse product triples."""
         diff = [[i, sorted(self.diff_basis(i))] for i in range(self.dim) if self.diff_basis(i)]
-        triples = [[i, j, out] for i, j in self.composable_pairs() for out in sorted(self.mul_basis(i, j))]
+        triples = [[i, j, out] for i, j in self.product_pairs() for out in sorted(self.mul_basis(i, j))]
         return {
             "k": self.k,
             "n_arcs": self.n_arcs,
@@ -432,7 +463,7 @@ def check_algebra(
         try:
             for i in range(alg.dim):
                 alg.diff_basis(i)
-            for i, j in alg.composable_pairs():
+            for i, j in alg.product_pairs():
                 alg.mul_basis(i, j)
         except NotInMatchedSpan as e:
             ok = False
@@ -446,23 +477,41 @@ def check_algebra(
 
     if "leibniz" in checks or "assoc" in checks:
         # the nonzero rows of the product table under check: right[i][j] is
-        # a_i * a_j for every composable j with a nonzero product
+        # a_i * a_j for every composable j with a nonzero product, all of
+        # which product_pairs visits
         right: list[dict[int, frozenset]] = [{} for _ in range(alg.dim)]
-        for i, j in alg.composable_pairs():
+        for i, j in alg.product_pairs():
             if p := alg.mul_basis(i, j):
                 right[i][j] = p
 
     if "leibniz" in checks:
-        bad = []
-        for i, j in alg.composable_pairs():
-            lhs = alg.diff_support(right[i].get(j, _ZERO))
-            rhs = _ZERO
-            for x in alg.diff_basis(i):
-                rhs ^= right[x].get(j, _ZERO)
+        # y -> every j with y in d(a_j)
+        d_into: dict[int, list[int]] = {}
+        for j in range(alg.dim):
             for y in alg.diff_basis(j):
-                rhs ^= right[i].get(y, _ZERO)
-            if lhs != rhs:
-                bad.append((i, j, lhs ^ rhs))
+                d_into.setdefault(y, []).append(j)
+        bad = []
+        for i, b in enumerate(alg.basis):
+            # both d(a_i a_j) and (d a_i) a_j + a_i (d a_j) vanish unless a_i
+            # a_j, x a_j for a term x of d a_i, or a_i y for a term y of d a_j
+            # is a nonzero product of the table
+            di = alg.diff_basis(i)
+            js = set(right[i])
+            for x in di:
+                js.update(right[x])
+            for y in right[i]:
+                js.update(d_into.get(y, ()))
+            for j in sorted(js):
+                if alg.basis[j].s != b.t:
+                    continue
+                lhs = alg.diff_support(right[i].get(j, _ZERO))
+                rhs = _ZERO
+                for x in di:
+                    rhs ^= right[x].get(j, _ZERO)
+                for y in alg.diff_basis(j):
+                    rhs ^= right[i].get(y, _ZERO)
+                if lhs != rhs:
+                    bad.append((i, j, lhs ^ rhs))
         laws["leibniz"] = not bad
         failures += [
             f"leibniz fails on ({alg.describe(i)}, {alg.describe(j)}): residue {alg.describe_sum(r)}"
@@ -470,27 +519,40 @@ def check_algebra(
         ]
 
     if "assoc" in checks:
+        # y -> every j with y a term of a_j a_l for some l
+        made_from: dict[int, set] = {}
+        for j, row in enumerate(right):
+            for p in row.values():
+                for y in p:
+                    made_from.setdefault(y, set()).add(j)
         bad = []
-        for i, j in alg.composable_pairs():
-            ij = right[i].get(j, _ZERO)
-            # both (a_i a_j) a_l and a_i (a_j a_l) vanish unless l is a key of
-            # right[j] or of right[x] for a term x of a_i a_j; l still runs
-            # only over the sources composable with a_j, in ascending order
-            tj = alg.basis[j].t
-            ls = set(right[j])
-            for x in ij:
-                ls.update(right[x])
-            for l in sorted(ls):
-                if alg.basis[l].s != tj:
+        for i, b in enumerate(alg.basis):
+            # both sides vanish at (i, j, l) unless a_i a_j is nonzero or a_j
+            # a_l has a term y with a_i y nonzero
+            js = set(right[i])
+            for y in right[i]:
+                js.update(made_from.get(y, ()))
+            for j in sorted(js):
+                if alg.basis[j].s != b.t:
                     continue
-                lhs = _ZERO
+                ij = right[i].get(j, _ZERO)
+                # l runs over the keys of right[j] and of right[x] for a term x
+                # of a_i a_j, composable with a_j, in ascending order
+                tj = alg.basis[j].t
+                ls = set(right[j])
                 for x in ij:
-                    lhs ^= right[x].get(l, _ZERO)
-                rhs = _ZERO
-                for y in right[j].get(l, _ZERO):
-                    rhs ^= right[i].get(y, _ZERO)
-                if lhs != rhs:
-                    bad.append((i, j, l, lhs ^ rhs))
+                    ls.update(right[x])
+                for l in sorted(ls):
+                    if alg.basis[l].s != tj:
+                        continue
+                    lhs = _ZERO
+                    for x in ij:
+                        lhs ^= right[x].get(l, _ZERO)
+                    rhs = _ZERO
+                    for y in right[j].get(l, _ZERO):
+                        rhs ^= right[i].get(y, _ZERO)
+                    if lhs != rhs:
+                        bad.append((i, j, l, lhs ^ rhs))
         laws["assoc"] = not bad
         failures += [
             f"assoc fails on ({alg.describe(i)}, {alg.describe(j)}, {alg.describe(l)}): "
@@ -532,17 +594,25 @@ def _token_positions(ds: DecoratedSurface) -> dict[str, int]:
     return {t: p for p, t in enumerate(t for iv in ds.intervals() for t in iv)}
 
 
-def _isomorphism_failures(alg: Algebra, image, d_image, m_image, residue, product_word: str) -> list[str]:
+def _isomorphism_failures(
+    alg: Algebra, image, d_image, m_image, residue, product_word: str, image_pairs
+) -> list[str]:
     """Witnesses that the basis bijection i -> image[i] does not carry the
     differential and product of alg to d_image(i) and m_image(i, j), both sets
     of images: the first failing basis element and the first failing
-    composable pair.  residue names a set of images in a witness."""
+    composable pair.  residue names a set of images in a witness.
+
+    m_image(i, j) is an empty sum off image_pairs, so the product loop skips
+    the composable pairs outside image_pairs and alg.product_pairs(), where
+    both sides are empty."""
     failures: list[str] = []
     for i in range(alg.dim):
         if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
             failures.append(f"differential not intertwined at {alg.describe(i)}: residue {residue(r)}")
             break
-    for i, j in alg.composable_pairs():
+    pairs = set(alg.product_pairs())
+    pairs.update((i, j) for i, j in image_pairs if alg.basis[i].t == alg.basis[j].s)
+    for i, j in sorted(pairs):
         if r := {image[x] for x in alg.mul_basis(i, j)} ^ m_image(i, j):
             failures.append(
                 f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}"
@@ -586,6 +656,9 @@ def opposite_check(ds: DecoratedSurface, k: int, verbose: bool = False):
     if len(set(op)) != alg.dim:
         failures.append("basis reversal is not a bijection")
     if not failures:
+        pre = [0] * alg.dim
+        for i, x in enumerate(op):
+            pre[x] = i
         failures = _isomorphism_failures(
             alg,
             op,
@@ -593,6 +666,7 @@ def opposite_check(ds: DecoratedSurface, k: int, verbose: bool = False):
             lambda i, j: ralg.mul_basis(op[j], op[i]),
             ralg.describe_sum,
             "transposed",
+            ((pre[v], pre[u]) for u, v in ralg.product_pairs()),
         )
 
     ok = not failures
@@ -683,6 +757,13 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
             m_image,
             lambda r: asum.describe_sum(index_of[p] for p in r),
             "intertwined",
+            (
+                (index_of[k1, i1, i2], index_of[k1, j1, j2])
+                for k1 in algs1
+                if k - k1 in algs2
+                for i1, j1 in algs1[k1].product_pairs()
+                for i2, j2 in algs2[k - k1].product_pairs()
+            ),
         )
 
     ok = not failures

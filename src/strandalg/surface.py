@@ -147,6 +147,8 @@ def parse_surface(text: str) -> DecoratedSurface:
     genus_overrides = tuple(sorted((int(k), v) for k, v in face_genus.items()))
     ds = DecoratedSurface(tuple(circles), tuple(arcs), genus_overrides)
     _validate(ds)
+    if genus_overrides:
+        analyze_surface(ds)  # rejects an override for a face that does not exist
     return ds
 
 

@@ -276,8 +276,59 @@ def _s3_json(**change):
     ],
 )
 def test_malformed_diagram_is_a_diagram_error(text, message):
-    with pytest.raises(DiagramError, match=re.escape(message)):
+    with pytest.raises(DiagramError, match=re.escape(message)) as e:
         parse_diagram(text)
+    assert e.value.code == "syntax"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_s3_json(genus=2), "Euler characteristic 0 does not match genus 2"),
+        (_s3_json(points__0__alpha=1), "point tagged with out-of-range curve index"),
+        (_s3_json(regions__0__corners=[[0, 0], [0, 1], [0, 2], [0, 4]]), "region 0 has a corner out of range"),
+        (_s3_json(regions__0__corners=[[0, 0], [0, 1], [0, 2], [0, 2]]), "corner (0,2) used twice"),
+        (_s3_json(regions__0__corners=[[0, 0], [0, 1], [0, 2]]), "each point needs 4"),
+        (_s3_json(regions__0__has_z=False), "exactly one basepoint region required"),
+    ],
+    ids=["euler", "curve-index", "corner-range", "corner-twice", "incidences", "basepoint"],
+)
+def test_inconsistent_diagram_is_invalid(text, message):
+    with pytest.raises(DiagramError, match=re.escape(message)) as e:
+        parse_diagram(text)
+    assert e.value.code == "invalid"
+
+
+def test_domain_that_does_not_fit_is_a_bad_domain():
+    d = s3_diagram()
+    with pytest.raises(DiagramError, match="does not match the region count") as e:
+        euler_measure(d, DiagramDomain((0, 1)))
+    assert e.value.code == "bad-domain"
+    d = ClosedDiagram(
+        2,
+        ((0, 0), (1, 1)),
+        (
+            Region(((0, 0), (0, 1), (0, 2), (0, 3)), has_z=True),
+            Region(((1, 0), (1, 1), (1, 2), (1, 3)), genus=1),
+        ),
+    )
+    with pytest.raises(DiagramError, match="disc regions") as e:
+        euler_measure(d, DiagramDomain((0, 1)))
+    assert e.value.code == "bad-domain"
+
+
+def test_non_nice_diagram_has_its_own_code():
+    bad = ClosedDiagram(
+        1,
+        ((0, 0), (0, 0)),
+        (
+            Region(((0, 0), (0, 1), (0, 2), (1, 0), (1, 1))),
+            Region(((0, 3), (1, 2), (1, 3)), has_z=True),
+        ),
+    )
+    with pytest.raises(DiagramError, match="non-nice") as e:
+        analyze_diagram(bad)
+    assert e.value.code == "not-nice"
 
 
 def test_parse_domain():
@@ -306,6 +357,7 @@ def test_parse_domain():
 def test_malformed_domain_is_a_diagram_error(text, message):
     with pytest.raises(DiagramError, match=re.escape(message)) as e:
         parse_domain(text)
+    assert e.value.code == "syntax"
     # a rejected JSON text or integer conversion is chained from its cause
     assert (e.value.__cause__ is not None) == ("JSON" in message or "integer" in message)
 

@@ -421,6 +421,11 @@ def _reference_laws(alg, checks):
     return laws, failures
 
 
+def _is_subsequence(short, long):
+    rest = iter(long)
+    return all(x in rest for x in short)
+
+
 def _reference_dump(alg):
     """dump() with its product triples taken from the all-pairs scan."""
     triples = [[i, j, out] for i, j in _all_pairs_scan(alg) for out in sorted(alg.mul_basis(i, j))]
@@ -438,11 +443,15 @@ def test_block_index_matches_all_pairs_scan():
     cases += [(one_disc_decoration(3), 2, ("d2", "leibniz", "closure", "idempotents"))]
     for ds, k, laws in cases:
         alg = Algebra.from_surface(ds, k)
-        assert list(alg.composable_pairs()) == _all_pairs_scan(alg)
+        scan = _all_pairs_scan(alg)
+        pairs = list(alg.product_pairs())
+        assert _is_subsequence(pairs, scan)
         rep = check_algebra(ds, k, checks=laws, algebra=alg)
         assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
         assert rep.ok
         assert json.dumps(alg.dump(), sort_keys=True) == _reference_dump(alg)
+        kept = set(pairs)
+        assert not any(alg.mul_basis(i, j) for i, j in scan if (i, j) not in kept)
 
 
 def test_check_algebra_rejects_a_foreign_algebra():
@@ -550,8 +559,18 @@ def test_corrupted_product_is_caught(k, left, right, witness, opposite, monkeypa
             'differential not intertwined at {"chords": [[0, 3], [1, 2]], "markers": []}: '
             'residue [{"chords": [[0, 2], [1, 3]], "markers": []}]',
         ),
+        (
+            # the witness pair's positions do not meet and its product is zero
+            1,
+            {"chords": [[0, 2]]},
+            {"chords": [[2, 3]]},
+            'leibniz fails on ({"chords": [[0, 2]], "markers": []}, {"chords": [[0, 2]], "markers": []}): '
+            'residue [{"chords": [[0, 3]], "markers": []}]',
+            'differential not intertwined at {"chords": [[0, 2]], "markers": []}: '
+            'residue [{"chords": [[0, 1]], "markers": []}]',
+        ),
     ],
-    ids=["k1", "k2"],
+    ids=["k1", "k2", "k1-mismatched-pair"],
 )
 def test_corrupted_differential_is_caught(k, target, flip, witness, opposite, monkeypatch):
     alg = _filled_torus(k)
@@ -593,13 +612,34 @@ def test_created_product_is_caught(k, left, right, product, witness):
     table under check."""
     alg = _filled_torus(k)
     i, j = _torus_element(alg, **left), _torus_element(alg, **right)
-    assert alg.basis[i].t == alg.basis[j].s and not alg._mul[i, j]
+    assert alg.basis[i].t == alg.basis[j].s and not alg._mul.get((i, j))
     alg._mul[i, j] = frozenset([_torus_element(alg, **product)])
 
     rep = check_algebra(TORUS, k, algebra=alg)
     assert not rep.laws["assoc"]
     assert witness in rep.failures
     assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_single_flip_matches_reference(k):
+    """Each d(a_i) and each composable a_i * a_j, flipped by each basis
+    element in turn: check_algebra agrees with the all-pairs reference."""
+    alg = _filled_torus(k)
+    for i in range(alg.dim):
+        kept = alg._diff[i]
+        for e in range(alg.dim):
+            alg._diff[i] = kept ^ {e}
+            rep = check_algebra(TORUS, k, algebra=alg)
+            assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
+        alg._diff[i] = kept
+    for i, j in _all_pairs_scan(alg):
+        kept = alg.mul_basis(i, j)
+        for e in range(alg.dim):
+            alg._mul[i, j] = kept ^ {e}
+            rep = check_algebra(TORUS, k, algebra=alg)
+            assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
+        alg._mul[i, j] = kept
 
 
 def _lose_product_term(alg):
@@ -632,3 +672,21 @@ def test_corrupted_summand_fails_consum_check(corrupt, witness, monkeypatch):
     corrupt(alg)
     _build_torus_as(alg, monkeypatch)
     assert consum_check(TORUS, DISC1, 1, verbose=True) == (False, [witness])
+
+
+def test_created_summand_product_fails_consum_check(monkeypatch):
+    """A product made nonzero at a summand pair whose positions do not meet:
+    the sum algebra's own pairs never compose there, so the check must also
+    visit the pairs where the summands' tables are nonzero."""
+    alg = _filled_torus(1)
+    i = _torus_element(alg, chords=[[0, 2]])
+    assert not alg._mul.get((i, i))
+    alg._mul[i, i] = frozenset([i])
+    _build_torus_as(alg, monkeypatch)
+    assert consum_check(TORUS, DISC1, 1, verbose=True) == (
+        False,
+        [
+            'product not intertwined at ({"chords": [[2, 4]], "markers": []}, {"chords": [[2, 4]], "markers": []}): '
+            'residue [{"chords": [[2, 4]], "markers": []}]'
+        ],
+    )

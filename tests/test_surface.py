@@ -87,6 +87,14 @@ def test_malformed_surface_is_a_syntax_error(text, message):
     assert e.value.code == "syntax"
 
 
+def test_face_genus_for_a_missing_face_is_rejected_by_parse():
+    torus = json.loads(serialize_surface(torus_decoration()))
+    assert len(analyze_surface(parse_surface(json.dumps({**torus, "face_genus": {"0": 1}}))).faces) == 1
+    with pytest.raises(SurfaceError, match=re.escape("override for nonexistent face(s) [7]")) as e:
+        parse_surface(json.dumps({**torus, "face_genus": {"7": 1}}))
+    assert e.value.code == "bad-face-genus"
+
+
 def test_disconnected_data_is_rejected():
     with pytest.raises(SurfaceError) as e:
         make_surface([["z", "e1", "e2"], ["z"]], [["e1", "e2"]])
