@@ -14,6 +14,7 @@ squares ("nice"), which makes the differential a finite count.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,11 +57,18 @@ def _get(obj, key: str, where: str, default=None):
     return obj[key]
 
 
+def _as_int(value) -> int:
+    """A JSON integer as an int; TypeError for any other value, bools too."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean")
+    return operator.index(value)
+
+
 def _int(obj, key: str, where: str, default=None) -> int:
     value = _get(obj, key, where, default)
     try:
-        return int(value)
-    except (TypeError, ValueError) as e:
+        return _as_int(value)
+    except TypeError as e:
         raise DiagramError("syntax", f"{where}: field {key!r} is not an integer: {value!r}") from e
 
 
@@ -74,7 +82,7 @@ def _list(obj, key: str, where: str) -> list:
 def _corner(c, where: str) -> tuple[int, int]:
     try:
         p, q = c
-        return int(p), int(q)
+        return _as_int(p), _as_int(q)
     except (TypeError, ValueError) as e:
         raise DiagramError("syntax", f"{where}: field 'corners' holds {c!r}, not a pair of integers") from e
 
@@ -291,8 +299,8 @@ def parse_domain(text: str) -> DiagramDomain:
     data = _json(text)
     values = _list(data, "multiplicities", "domain")
     try:
-        multiplicities = tuple(int(v) for v in values)
-    except (TypeError, ValueError) as e:
+        multiplicities = tuple(_as_int(v) for v in values)
+    except TypeError as e:
         raise DiagramError("syntax", f"domain: field 'multiplicities' holds a non-integer: {values!r}") from e
     return DiagramDomain(
         multiplicities=multiplicities,

@@ -25,7 +25,16 @@ MAX_DEPTH = 64
 
 
 class ModuleFormatError(ValueError):
-    pass
+    """Malformed or rejected module data; ``code`` identifies the reason:
+    ``syntax`` (not JSON, an unreadable file, or a missing or mistyped
+    field), ``bad-descriptor`` (a basis descriptor that names no basis
+    element), ``invalid`` (unknown or duplicate generators, a wrong-size
+    idempotent, an idempotent argument, an unknown type or a bad k) or
+    ``mismatch`` (modules over different algebras paired)."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 class IdempotentMismatch(ValueError):
@@ -57,7 +66,7 @@ class TypeDModule:
     def __post_init__(self):
         for x in self.generators:
             if len(self.idem[x]) != self.algebra.k:
-                raise ModuleFormatError(f"idempotent of {x!r} has wrong size")
+                raise ModuleFormatError("invalid", f"idempotent of {x!r} has wrong size")
             for a, y in self.delta.get(x, frozenset()):
                 if self.algebra.source_idempotent(a) != self.idem[x]:
                     raise IdempotentMismatch(f"delta entry of {x!r} starts off its idempotent")
@@ -83,11 +92,11 @@ class TypeAModule:
         alg = self.algebra
         for x in self.generators:
             if len(self.idem[x]) != alg.k:
-                raise ModuleFormatError(f"idempotent of {x!r} has wrong size")
+                raise ModuleFormatError("invalid", f"idempotent of {x!r} has wrong size")
         for (x, args), outs in self.ops.items():
             for a in args:
                 if alg.is_idempotent_index(a):
-                    raise ModuleFormatError("idempotent arguments are implicit (strict unitality)")
+                    raise ModuleFormatError("invalid", "idempotent arguments are implicit (strict unitality)")
             if args:
                 if alg.source_idempotent(args[0]) != self.idem[x]:
                     raise IdempotentMismatch(f"operation on {x!r} starts off its idempotent")
@@ -121,11 +130,11 @@ class TypeAModule:
 def _field(obj, key: str, where: str):
     """obj[key] of a module file, or ModuleFormatError naming the field."""
     if not isinstance(obj, dict):
-        raise ModuleFormatError(f"{where} is not an object")
+        raise ModuleFormatError("syntax", f"{where} is not an object")
     try:
         return obj[key]
     except KeyError as e:
-        raise ModuleFormatError(f"{where} lacks field {key!r}") from e
+        raise ModuleFormatError("syntax", f"{where} lacks field {key!r}") from e
 
 
 def _load_algebra(ref, base_dir) -> Algebra:
@@ -135,7 +144,7 @@ def _load_algebra(ref, base_dir) -> Algebra:
         try:
             text = path.read_text()
         except OSError as e:
-            raise ModuleFormatError(f"algebra: field 'surface' = {surf!r} is invalid: cannot read {path}: {e.strerror}") from e
+            raise ModuleFormatError("syntax", f"algebra: field 'surface' = {surf!r} is invalid: cannot read {path}: {e.strerror}") from e
         ds = parse_surface(text)
     else:
         ds = parse_surface(json.dumps(surf))
@@ -143,7 +152,7 @@ def _load_algebra(ref, base_dir) -> Algebra:
     try:
         return Algebra.from_surface(ds, int(k))
     except (TypeError, ValueError) as e:
-        raise ModuleFormatError(f"algebra: field 'k' = {k!r} is invalid: {e}") from e
+        raise ModuleFormatError("invalid", f"algebra: field 'k' = {k!r} is invalid: {e}") from e
 
 
 def _basis_index(algebra: Algebra, n: int, desc) -> int:
@@ -151,7 +160,7 @@ def _basis_index(algebra: Algebra, n: int, desc) -> int:
     try:
         return algebra.basis_index(desc)
     except (ValueError, TypeError, AttributeError) as e:
-        raise ModuleFormatError(f"operation {n}: bad descriptor {json.dumps(desc, default=repr)}: {e}") from e
+        raise ModuleFormatError("bad-descriptor", f"operation {n}: bad descriptor {json.dumps(desc, default=repr)}: {e}") from e
 
 
 def _check_ends(n: int, op: dict, idem: dict) -> None:
@@ -159,7 +168,7 @@ def _check_ends(n: int, op: dict, idem: dict) -> None:
     for end in ("from", "to"):
         if op.get(end) not in idem:
             raise ModuleFormatError(
-                f"operation {n} ({op.get('from')!r} -> {op.get('to')!r}): unknown generator {op.get(end)!r}"
+                "invalid", f"operation {n} ({op.get('from')!r} -> {op.get('to')!r}): unknown generator {op.get(end)!r}"
             )
 
 
@@ -169,12 +178,15 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
         text = str(source)
         if not text.lstrip().startswith("{"):
             path = Path(source)
-            text = path.read_text()
+            try:
+                text = path.read_text()
+            except OSError as e:
+                raise ModuleFormatError("syntax", f"module: cannot read {path}: {e.strerror}") from e
             base_dir = base_dir or path.parent
         try:
             data = json.loads(text)
         except json.JSONDecodeError as e:
-            raise ModuleFormatError(f"module is not valid JSON: {e}") from e
+            raise ModuleFormatError("syntax", f"module is not valid JSON: {e}") from e
     else:
         data = source
     kind = _field(data, "type", "module")
@@ -190,9 +202,9 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
         try:
             idem[name] = frozenset(operator.index(a) for a in arcs)
         except TypeError as e:
-            raise ModuleFormatError(f"generator {n}: field 'idempotent' is not a list of arcs: {arcs!r}") from e
+            raise ModuleFormatError("syntax", f"generator {n}: field 'idempotent' is not a list of arcs: {arcs!r}") from e
     if len(set(gens)) != len(gens):
-        raise ModuleFormatError("duplicate generator names")
+        raise ModuleFormatError("invalid", "duplicate generator names")
 
     if kind == "D":
         delta: dict = {g: set() for g in gens}
@@ -200,7 +212,7 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
             desc = _field(op, "alg", f"operation {n}")
             _check_ends(n, op, idem)
             if not isinstance(desc, dict):
-                raise ModuleFormatError(f"operation {n}: field 'alg' is not an object")
+                raise ModuleFormatError("syntax", f"operation {n}: field 'alg' is not an object")
             delta[op["from"]] ^= {(_basis_index(algebra, n, desc), op["to"])}
         return TypeDModule(algebra, tuple(gens), idem, {g: frozenset(v) for g, v in delta.items()})
     if kind == "A":
@@ -209,13 +221,13 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
             descs = _field(op, "alg", f"operation {n}")
             _check_ends(n, op, idem)
             if not isinstance(descs, (list, tuple)):
-                raise ModuleFormatError(f"operation {n}: field 'alg' is not a list")
+                raise ModuleFormatError("syntax", f"operation {n}: field 'alg' is not a list")
             args = [_basis_index(algebra, n, desc) for desc in descs]
             key = (op["from"], tuple(args))
             ops[key] = ops.get(key, frozenset()) ^ {op["to"]}
         ops = {k: v for k, v in ops.items() if v}
         return TypeAModule(algebra, tuple(gens), idem, ops)
-    raise ModuleFormatError(f"unknown module type {kind!r}")
+    raise ModuleFormatError("invalid", f"unknown module type {kind!r}")
 
 
 def dump_module(m, algebra_ref: dict) -> dict:
@@ -328,15 +340,12 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
     idem = {f"b{i}": alg.target_idempotent(i) for i in range(alg.dim)}
     ops: dict = {}
     aplus = frozenset(alg.nonidempotent_indices())
-    for i in range(alg.dim):
+    for i, row in enumerate(alg.products()):
         d = alg.diff_basis(i)
         if d:
             ops[(f"b{i}", ())] = frozenset(f"b{j}" for j in d)
-        for a in alg.by_source[alg.basis[i].t]:
-            if a not in aplus:
-                continue
-            out = alg.mul_basis(i, a)
-            if out:
+        for a, out in row.items():
+            if a in aplus:
                 ops[(f"b{i}", (a,))] = frozenset(f"b{j}" for j in out)
     return TypeAModule(alg, gens, idem, ops)
 
@@ -351,7 +360,7 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
     type A actions.  Iteration truncates at j_max; if MAX_DEPTH is hit
     first, DepthExceeded is raised."""
     if not _same_algebra(m.algebra, n.algebra):
-        raise ModuleFormatError("box tensor of modules over different algebras")
+        raise ModuleFormatError("mismatch", "box tensor of modules over different algebras")
     jmax = m.j_max
 
     pairs = [
@@ -409,17 +418,12 @@ def dual_type_d(m: TypeAModule) -> TypeDModule:
 def nilpotence_order(alg: Algebra) -> int:
     """Smallest j such that all j-fold products of non-idempotent basis
     elements vanish; raises TruncationUnsound if there is none."""
+    rows = alg.products()
     aplus = frozenset(alg.nonidempotent_indices())
     cur = aplus
     j = 1
     while cur:
-        nxt = frozenset(
-            c
-            for i in cur
-            for a in alg.by_source[alg.basis[i].t]
-            if a in aplus
-            for c in alg.mul_basis(i, a)
-        )
+        nxt = frozenset(c for i in cur for a, p in rows[i].items() if a in aplus for c in p)
         if nxt == cur:
             raise TruncationUnsound("non-idempotent basis elements are not nilpotent")
         cur = nxt
@@ -440,7 +444,7 @@ def mor_complex(m1: TypeAModule, m2: TypeAModule) -> ChainComplex:
     both are checked and TruncationUnsound is raised otherwise.
     """
     if not _same_algebra(m1.algebra, m2.algebra):
-        raise ModuleFormatError("morphism complex of modules over different algebras")
+        raise ModuleFormatError("mismatch", "morphism complex of modules over different algebras")
     nilpotence_order(m1.algebra)
     dual = dual_type_d(m1)
     rep = check_typeD(dual)

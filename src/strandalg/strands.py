@@ -8,15 +8,19 @@ element expands into 2^(#markers) unmatched strand diagrams, one horizontal
 strand per marker placed at either endpoint of its arc; the differential and
 product are computed on the diagrams (crossing resolution dropping the
 inversion count by exactly one; composition with additive inversion count) and
-contracted back to the matched basis.  Two diagrams compose only where the
-end positions of the first are exactly the start positions of the second, so
-a_i * a_j can be nonzero only when an end set of a_i's expansion is a start
-set of a_j's; the table fill, the law checks and the dump skip every other
-pair unless the table under check holds a nonzero product there.
+contracted back to the matched basis.
 
 Algebra elements are named by basis index: the tables map an index, or a
-frozenset of indices (a GF(2) sum), to the frozenset of its image.  Basis
-descriptors name them in files and failure witnesses.
+pair of indices, to the frozenset of basis indices of its image (a GF(2)
+sum).  Basis descriptors name them in files and failure witnesses.
+
+Algebra.products() is the one sparse view of the product table: row i maps
+each j to a nonzero a_i * a_j.  Two diagrams compose only where the end
+positions of the first are exactly the start positions of the second, so the
+first call composes a_i with a_j only where an end set of a_i's expansion is
+a start set of a_j's; every call reads its rows from the table as it stands,
+so the law, isomorphism and module checks see a corrupted entry wherever it
+is.
 
 Nothing here looks at the complement faces: the algebra depends only on the
 intervals, the positions, and the matching.
@@ -125,12 +129,7 @@ class Algebra:
         # inversions)]
         self._as_left: dict[int, list] = {}
         self._as_right: dict[int, dict] = {}
-        # built on first use by product_pairs: start-position bitmask ->
-        # ascending indices with an expansion diagram starting there, and per
-        # basis element the start and end bitmasks of its expansion diagrams
-        self._starting_at: dict[int, list[int]] | None = None
-        self._start_masks: list[frozenset] = []
-        self._end_masks: list[frozenset] = []
+        self._products_filled = False
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
@@ -203,34 +202,6 @@ class Algebra:
     def describe_sum(self, support) -> str:
         """A GF(2) sum of basis elements as a JSON list of descriptors."""
         return "[" + ", ".join(self.describe(i) for i in sorted(support)) + "]"
-
-    def product_pairs(self):
-        """Every composable (i, j) whose product can be nonzero in the table
-        as it stands, in lexicographic order: some end set of a_i is a start
-        set of a_j, or the table holds a nonzero a_i * a_j.  Every other
-        composable product is an empty sum."""
-        if self._starting_at is None:
-            self._index_positions()
-        starting_at, starts, ends, basis = self._starting_at, self._start_masks, self._end_masks, self.basis
-        # a nonzero entry at a pair whose positions do not meet is a corrupted
-        # table's; snapshot them, since mul_basis fills _mul as pairs go by
-        stray: dict[int, set] = {}
-        for (i, j), p in self._mul.items():
-            if p and basis[i].t == basis[j].s and ends[i].isdisjoint(starts[j]):
-                stray.setdefault(i, set()).add(j)
-        for i, masks in enumerate(ends):
-            for j in sorted(stray.get(i, set()).union(*(starting_at.get(m, ()) for m in masks))):
-                yield i, j
-
-    def _index_positions(self) -> None:
-        starting_at: dict[int, list[int]] = {}
-        for j, exp in enumerate(self._expansions):
-            starts = frozenset(sum(1 << p for p, _ in d) for d in exp)
-            self._start_masks.append(starts)
-            self._end_masks.append(frozenset(sum(1 << q for _, q in d) for d in exp))
-            for mask in starts:
-                starting_at.setdefault(mask, []).append(j)
-        self._starting_at = starting_at
 
     # -- strand diagrams ----------------------------------------------------
 
@@ -366,6 +337,27 @@ class Algebra:
             self._as_right[j] = out
         return out
 
+    def products(self) -> list[dict[int, frozenset]]:
+        """The nonzero rows of the product table: row i maps j to a_i * a_j
+        wherever that is nonzero.  The first call fills the table, composing
+        a_i with a_j only where an end set of a_i is a start set of a_j (every
+        other product is an empty sum); every call reads the rows from the
+        table as it stands."""
+        if not self._products_filled:
+            starting_at: dict[frozenset, list[int]] = {}
+            for j in range(self.dim):
+                for starts in self._right_factor(j):
+                    starting_at.setdefault(starts, []).append(j)
+            for i in range(self.dim):
+                for j in sorted({j for _, ends, _ in self._left_factor(i) for j in starting_at.get(ends, ())}):
+                    self.mul_basis(i, j)
+            self._products_filled = True
+        rows: list[dict[int, frozenset]] = [{} for _ in range(self.dim)]
+        for (i, j), p in self._mul.items():
+            if p:
+                rows[i][j] = p
+        return rows
+
     def diff_support(self, support: frozenset) -> frozenset:
         acc: frozenset = frozenset()
         for i in support:
@@ -399,7 +391,7 @@ class Algebra:
     def dump(self) -> dict:
         """Basis descriptors, differential, and sparse product triples."""
         diff = [[i, sorted(self.diff_basis(i))] for i in range(self.dim) if self.diff_basis(i)]
-        triples = [[i, j, out] for i, j in self.product_pairs() for out in sorted(self.mul_basis(i, j))]
+        triples = [[i, j, out] for i, row in enumerate(self.products()) for j in sorted(row) for out in sorted(row[j])]
         return {
             "k": self.k,
             "n_arcs": self.n_arcs,
@@ -457,14 +449,14 @@ def check_algebra(
     alg = algebra
     laws: dict[str, bool] = {}
     failures: list[str] = []
+    right = None  # the nonzero rows of the product table under check
 
     if "closure" in checks:
         ok = True
         try:
             for i in range(alg.dim):
                 alg.diff_basis(i)
-            for i, j in alg.product_pairs():
-                alg.mul_basis(i, j)
+            right = alg.products()
         except NotInMatchedSpan as e:
             ok = False
             failures.append(f"closure: {e}")
@@ -475,14 +467,8 @@ def check_algebra(
         laws["d2"] = not bad
         failures += [f"d2 fails on {alg.describe(i)}: residue {alg.describe_sum(r)}" for i, r in bad[:3]]
 
-    if "leibniz" in checks or "assoc" in checks:
-        # the nonzero rows of the product table under check: right[i][j] is
-        # a_i * a_j for every composable j with a nonzero product, all of
-        # which product_pairs visits
-        right: list[dict[int, frozenset]] = [{} for _ in range(alg.dim)]
-        for i, j in alg.product_pairs():
-            if p := alg.mul_basis(i, j):
-                right[i][j] = p
+    if ("leibniz" in checks or "assoc" in checks) and right is None:
+        right = alg.products()
 
     if "leibniz" in checks:
         # y -> every j with y in d(a_j)
@@ -594,26 +580,30 @@ def _token_positions(ds: DecoratedSurface) -> dict[str, int]:
     return {t: p for p, t in enumerate(t for iv in ds.intervals() for t in iv)}
 
 
+def _nonzero_pairs(rows) -> list[tuple[int, int]]:
+    """Every (i, j) with a nonzero entry in the product rows."""
+    return [(i, j) for i, row in enumerate(rows) for j in row]
+
+
 def _isomorphism_failures(
     alg: Algebra, image, d_image, m_image, residue, product_word: str, image_pairs
 ) -> list[str]:
     """Witnesses that the basis bijection i -> image[i] does not carry the
     differential and product of alg to d_image(i) and m_image(i, j), both sets
-    of images: the first failing basis element and the first failing
-    composable pair.  residue names a set of images in a witness.
+    of images: the first failing basis element and the first failing pair.
+    residue names a set of images in a witness.
 
-    m_image(i, j) is an empty sum off image_pairs, so the product loop skips
-    the composable pairs outside image_pairs and alg.product_pairs(), where
-    both sides are empty."""
+    image_pairs are the pairs where m_image can be nonzero, so the product
+    loop visits the nonzero pairs on either side; both sides are empty at
+    every other pair."""
     failures: list[str] = []
     for i in range(alg.dim):
         if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
             failures.append(f"differential not intertwined at {alg.describe(i)}: residue {residue(r)}")
             break
-    pairs = set(alg.product_pairs())
-    pairs.update((i, j) for i, j in image_pairs if alg.basis[i].t == alg.basis[j].s)
-    for i, j in sorted(pairs):
-        if r := {image[x] for x in alg.mul_basis(i, j)} ^ m_image(i, j):
+    rows = alg.products()
+    for i, j in sorted(set(_nonzero_pairs(rows)).union(image_pairs)):
+        if r := {image[x] for x in rows[i].get(j, _ZERO)} ^ m_image(i, j):
             failures.append(
                 f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}"
             )
@@ -659,14 +649,15 @@ def opposite_check(ds: DecoratedSurface, k: int, verbose: bool = False):
         pre = [0] * alg.dim
         for i, x in enumerate(op):
             pre[x] = i
+        rrows = ralg.products()
         failures = _isomorphism_failures(
             alg,
             op,
             lambda i: ralg.diff_basis(op[i]),
-            lambda i, j: ralg.mul_basis(op[j], op[i]),
+            lambda i, j: rrows[op[j]].get(op[i], _ZERO),
             ralg.describe_sum,
             "transposed",
-            ((pre[v], pre[u]) for u, v in ralg.product_pairs()),
+            ((pre[v], pre[u]) for u, v in _nonzero_pairs(rrows)),
         )
 
     ok = not failures
@@ -736,6 +727,9 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
 
     if not failures:
         index_of = {p: bi for bi, p in enumerate(pair_of)}
+        # the product rows of each summand pair A1(k1) (x) A2(k - k1)
+        rows = {k1: (algs1[k1].products(), algs2[k - k1].products()) for k1 in algs1 if k - k1 in algs2}
+        summand_pairs = {k1: (_nonzero_pairs(r1), _nonzero_pairs(r2)) for k1, (r1, r2) in rows.items()}
 
         def d_image(bi):
             k1, i1, i2 = pair_of[bi]
@@ -747,8 +741,8 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
             l1, j1, j2 = pair_of[bj]
             if k1 != l1:
                 return set()
-            a1, a2 = algs1[k1], algs2[k - k1]
-            return {(k1, u, v) for u in a1.mul_basis(i1, j1) for v in a2.mul_basis(i2, j2)}
+            rows1, rows2 = rows[k1]
+            return {(k1, u, v) for u in rows1[i1].get(j1, _ZERO) for v in rows2[i2].get(j2, _ZERO)}
 
         failures = _isomorphism_failures(
             asum,
@@ -759,10 +753,9 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
             "intertwined",
             (
                 (index_of[k1, i1, i2], index_of[k1, j1, j2])
-                for k1 in algs1
-                if k - k1 in algs2
-                for i1, j1 in algs1[k1].product_pairs()
-                for i2, j2 in algs2[k - k1].product_pairs()
+                for k1, (pairs1, pairs2) in summand_pairs.items()
+                for i1, j1 in pairs1
+                for i2, j2 in pairs2
             ),
         )
 

@@ -151,8 +151,8 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert LENS5 in data["inputs"]
 
 
-def test_suite_runs_the_acceptance_criteria():
-    status, rep = run(["suite"])
+def test_suite_runs_the_acceptance_criteria(suite_run):
+    status, rep = suite_run
     assert status == 0
     assert [c["name"] for c in rep.checks] == [name for name, _ in CRITERIA]
     assert all(c["pass"] for c in rep.checks)

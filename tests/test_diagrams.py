@@ -273,6 +273,12 @@ def _s3_json(**change):
         (_s3_json(regions__0__corners=[5]), "region 0: field 'corners' holds 5"),
         (_s3_json(regions__0__corners=[["a", 0]]), "region 0: field 'corners' holds ['a', 0]"),
         (_s3_json(regions__0__genus="x"), "region 0: field 'genus' is not an integer"),
+        (_s3_json(genus="1"), "diagram: field 'genus' is not an integer"),
+        (_s3_json(genus=True), "diagram: field 'genus' is not an integer"),
+        (_s3_json(points__0__alpha=0.7), "point 0: field 'alpha' is not an integer"),
+        (_s3_json(regions__0__corners=[[0, 1.0]]), "region 0: field 'corners' holds [0, 1.0]"),
+        (_s3_json(regions__0__corners=[[False, 0]]), "region 0: field 'corners' holds [False, 0]"),
+        (_s3_json(regions__0__genus=0.5), "region 0: field 'genus' is not an integer"),
     ],
 )
 def test_malformed_diagram_is_a_diagram_error(text, message):
@@ -350,9 +356,15 @@ def test_parse_domain():
         ('{"multiplicities": [1], "levels": [2]}', "domain: field 'levels' is not an integer"),
         ('{"multiplicities": [1], "k": "x"}', "domain: field 'k' is not an integer"),
         ('{"multiplicities": [1], "k": null}', "domain: field 'k' is not an integer"),
+        ('{"multiplicities": [1.5, true, "2"]}', "domain: field 'multiplicities' holds a non-integer"),
+        ('{"multiplicities": [1, true]}', "domain: field 'multiplicities' holds a non-integer"),
+        ('{"multiplicities": [1], "levels": 2.0}', "domain: field 'levels' is not an integer"),
+        ('{"multiplicities": [1], "k": "2"}', "domain: field 'k' is not an integer"),
+        ('{"multiplicities": [1], "k": false}', "domain: field 'k' is not an integer"),
     ],
     ids=["json", "non-object", "missing", "mult-int", "mult-str", "mult-null",
-         "levels-str", "levels-list", "k-str", "k-null"],
+         "levels-str", "levels-list", "k-str", "k-null", "mult-float", "mult-bool", "levels-float",
+         "k-numeric-str", "k-bool"],
 )
 def test_malformed_domain_is_a_diagram_error(text, message):
     with pytest.raises(DiagramError, match=re.escape(message)) as e:

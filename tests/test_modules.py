@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -190,8 +191,9 @@ def test_box_requires_same_algebra():
     other = Algebra.from_surface(disc_with_arc(), 1)
     m = TypeAModule(other, ("x",), {"x": frozenset([0])}, {})
     n = TypeDModule(ALG, ("v",), {"v": I0}, {"v": frozenset()})
-    with pytest.raises(ValueError):
+    with pytest.raises(ModuleFormatError, match="box tensor of modules over different algebras") as e:
         box_tensor(m, n)
+    assert e.value.code == "mismatch"
 
 
 def _looping_pair(inputs: int):
@@ -351,8 +353,30 @@ def test_unknown_generator_is_a_format_error(kind, end):
     data = dump_module(solid_torus_typeA() if kind == "A" else filling_typeD(2), {"surface": "x", "k": 1})
     op = data["operations"][0]
     op[end] = "nowhere"
-    with pytest.raises(ModuleFormatError, match=r"operation 0 \(.*\): unknown generator 'nowhere'"):
+    with pytest.raises(ModuleFormatError, match=r"operation 0 \(.*\): unknown generator 'nowhere'") as e:
         load_module(data, algebra=ALG)
+    assert e.value.code == "invalid"
+
+
+@pytest.mark.parametrize(
+    "build, code, message",
+    [
+        (lambda: load_module({**dump_module(solid_torus_typeA(), {}), "type": "B"}, algebra=ALG),
+         "invalid", "unknown module type 'B'"),
+        (lambda: load_module({"type": "A", "generators": [{"name": "x", "idempotent": [0]}] * 2}, algebra=ALG),
+         "invalid", "duplicate generator names"),
+        (lambda: TypeAModule(ALG, ("x",), {"x": frozenset()}, {}), "invalid", "idempotent of 'x' has wrong size"),
+        (lambda: TypeAModule(ALG, ("x",), {"x": I0}, {("x", (ALG.idempotent_index([0]),)): frozenset("x")}),
+         "invalid", "idempotent arguments are implicit"),
+        (lambda: mor_complex(solid_torus_typeA(), algebra_as_module(Algebra.from_surface(disc_with_arc(), 1))),
+         "mismatch", "morphism complex of modules over different algebras"),
+    ],
+    ids=["type", "duplicate", "idempotent-size", "idempotent-argument", "mor-mismatch"],
+)
+def test_module_error_codes(build, code, message):
+    with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:
+        build()
+    assert e.value.code == code
 
 
 def _set_alg(data, desc):
@@ -361,49 +385,58 @@ def _set_alg(data, desc):
 
 @pytest.mark.parametrize("name", ["solid_torus_typeA", "filling2_typeD"])
 @pytest.mark.parametrize(
-    "edit, message",
+    "edit, code, message",
     [
-        (lambda d: d.pop("type"), "module lacks field 'type'"),
-        (lambda d: d.pop("generators"), "module lacks field 'generators'"),
-        (lambda d: d.pop("algebra"), "module lacks field 'algebra'"),
-        (lambda d: d["algebra"].pop("k"), "algebra lacks field 'k'"),
-        (lambda d: d["generators"][0].pop("name"), "generator 0 lacks field 'name'"),
-        (lambda d: d["generators"][1].pop("idempotent"), "generator 1 lacks field 'idempotent'"),
-        (lambda d: d["operations"][0].pop("alg"), "operation 0 lacks field 'alg'"),
-        (lambda d: d["operations"][0].update(alg=5), "operation 0: field 'alg' is not a"),
-        (lambda d: _set_alg(d, {"chords": [[0, 9]]}),
+        (lambda d: d.pop("type"), "syntax", "module lacks field 'type'"),
+        (lambda d: d.pop("generators"), "syntax", "module lacks field 'generators'"),
+        (lambda d: d.pop("algebra"), "syntax", "module lacks field 'algebra'"),
+        (lambda d: d["algebra"].pop("k"), "syntax", "algebra lacks field 'k'"),
+        (lambda d: d["generators"][0].pop("name"), "syntax", "generator 0 lacks field 'name'"),
+        (lambda d: d["generators"][1].pop("idempotent"), "syntax", "generator 1 lacks field 'idempotent'"),
+        (lambda d: d["operations"][0].pop("alg"), "syntax", "operation 0 lacks field 'alg'"),
+        (lambda d: d["operations"][0].update(alg=5), "syntax", "operation 0: field 'alg' is not a"),
+        (lambda d: _set_alg(d, {"chords": [[0, 9]]}), "bad-descriptor",
          'operation 0: bad descriptor {"chords": [[0, 9]]}: position out of range in chord (0,9)'),
-        (lambda d: _set_alg(d, {"chords": [[2, 1]]}),
+        (lambda d: _set_alg(d, {"chords": [[2, 1]]}), "bad-descriptor",
          'operation 0: bad descriptor {"chords": [[2, 1]]}: (2,1) is not a chord'),
-        (lambda d: _set_alg(d, {"chords": 3}), 'operation 0: bad descriptor {"chords": 3}: '),
-        (lambda d: _set_alg(d, {"markers": [0, 1]}), "descriptor does not select 1 distinct arcs"),
-        (lambda d: _set_alg(d, {"markers": [0, 0]}), 'bad descriptor {"markers": [0, 0]}: arc 0 marked twice'),
-        (lambda d: d["algebra"].update(k="x"), "algebra: field 'k' = 'x' is invalid: invalid literal"),
-        (lambda d: d["algebra"].update(k=99), "algebra: field 'k' = 99 is invalid: k=99 out of range for 2 arcs"),
-        (lambda d: d["generators"][0].update(idempotent=5),
+        (lambda d: _set_alg(d, {"chords": 3}), "bad-descriptor", 'operation 0: bad descriptor {"chords": 3}: '),
+        (lambda d: _set_alg(d, {"markers": [0, 1]}), "bad-descriptor", "descriptor does not select 1 distinct arcs"),
+        (lambda d: _set_alg(d, {"markers": [0, 0]}), "bad-descriptor",
+         'bad descriptor {"markers": [0, 0]}: arc 0 marked twice'),
+        (lambda d: d["algebra"].update(k="x"), "invalid", "algebra: field 'k' = 'x' is invalid: invalid literal"),
+        (lambda d: d["algebra"].update(k=99), "invalid",
+         "algebra: field 'k' = 99 is invalid: k=99 out of range for 2 arcs"),
+        (lambda d: d["generators"][0].update(idempotent=5), "syntax",
          "generator 0: field 'idempotent' is not a list of arcs: 5"),
-        (lambda d: d["generators"][0].update(idempotent="01"),
+        (lambda d: d["generators"][0].update(idempotent="01"), "syntax",
          "generator 0: field 'idempotent' is not a list of arcs: '01'"),
-        (lambda d: d["algebra"].update(surface="nope.json"),
+        (lambda d: d["algebra"].update(surface="nope.json"), "syntax",
          f"algebra: field 'surface' = 'nope.json' is invalid: cannot read {data_dir() / 'modules' / 'nope.json'}: "),
-        ('{"type": "D", ', "module is not valid JSON: "),
-        ("{not json", "module is not valid JSON: "),
+        ('{"type": "D", ', "syntax", "module is not valid JSON: "),
+        ("{not json", "syntax", "module is not valid JSON: "),
+        (Path("missing.json"), "syntax", "module: cannot read "),
+        (Path(), "syntax", "module: cannot read "),
     ],
     ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
          "range", "chord", "chords-int", "markers", "markers-twice", "k-str", "k-range", "idempotent-int",
-         "idempotent-str", "surface", "json-truncated", "json-syntax"],
+         "idempotent-str", "surface", "json-truncated", "json-syntax", "path-missing", "path-directory"],
 )
-def test_malformed_module_is_a_format_error(name, edit, message, tmp_path):
+def test_malformed_module_is_a_format_error(name, edit, code, message, tmp_path):
     data = json.loads((data_dir() / "modules" / f"{name}.json").read_text())
     if isinstance(edit, str):  # the module text itself: load it as text and from a file
         path = tmp_path / f"{name}.json"
         path.write_text(edit)
         sources = [edit, path]
+    elif isinstance(edit, Path):  # a path naming no readable file, given as a path and as a string
+        path = tmp_path / edit
+        message += str(path)
+        sources = [path, str(path)]
     else:
         edit(data)
         sources = [data]
     for source in sources:
         with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:
             load_module(source, base_dir=data_dir() / "modules")
+        assert e.value.code == code
         # every error but a wrong-typed 'alg' field is chained from its cause
         assert (e.value.__cause__ is None) == ("field 'alg' is not a" in message)

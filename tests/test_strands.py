@@ -421,11 +421,6 @@ def _reference_laws(alg, checks):
     return laws, failures
 
 
-def _is_subsequence(short, long):
-    rest = iter(long)
-    return all(x in rest for x in short)
-
-
 def _reference_dump(alg):
     """dump() with its product triples taken from the all-pairs scan."""
     triples = [[i, j, out] for i, j in _all_pairs_scan(alg) for out in sorted(alg.mul_basis(i, j))]
@@ -444,13 +439,13 @@ def test_block_index_matches_all_pairs_scan():
     for ds, k, laws in cases:
         alg = Algebra.from_surface(ds, k)
         scan = _all_pairs_scan(alg)
-        pairs = list(alg.product_pairs())
-        assert _is_subsequence(pairs, scan)
+        products = {(i, j): p for i, row in enumerate(alg.products()) for j, p in row.items()}
+        assert products == {(i, j): p for i, j in scan if (p := alg.mul_basis(i, j))}
         rep = check_algebra(ds, k, checks=laws, algebra=alg)
         assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
         assert rep.ok
         assert json.dumps(alg.dump(), sort_keys=True) == _reference_dump(alg)
-        kept = set(pairs)
+        kept = set(products)
         assert not any(alg.mul_basis(i, j) for i, j in scan if (i, j) not in kept)
 
 
