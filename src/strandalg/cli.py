@@ -34,6 +34,7 @@ from .modules import (
     mor_complex,
 )
 from .strands import (
+    LAWS,
     Algebra,
     check_algebra,
     consum_check,
@@ -132,14 +133,15 @@ def _cmd_algebra(args, report):
     report.results["idempotents"] = len(alg.idempotents())
     which = args.check or []
     if "all" in which:
-        which = ["d2", "leibniz", "assoc", "closure", "idempotents", "op", "directed"]
-    law_names = [c for c in which if c in ("d2", "leibniz", "assoc", "closure", "idempotents")]
+        which = [*LAWS, "op", "directed"]
+    law_names = [c for c in which if c in LAWS]
     if law_names:
         rep = check_algebra(ds, args.k, checks=tuple(law_names), algebra=alg)
         for name in law_names:
             report.add_check(name, rep.laws[name], "; ".join(rep.failures[:1]))
     if "op" in which:
-        report.add_check("opposite", opposite_check(ds, args.k))
+        ok, failures = opposite_check(ds, args.k, verbose=True)
+        report.add_check("opposite", ok, "; ".join(failures[:1]))
     if "directed" in which:
         report.results["directed"] = directedness_check(ds, args.k)
     if args.dump:
@@ -259,11 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("surface")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dump", metavar="FILE")
-    p.add_argument(
-        "--check",
-        action="append",
-        choices=["all", "d2", "leibniz", "assoc", "closure", "idempotents", "op", "directed"],
-    )
+    p.add_argument("--check", action="append", choices=["all", *LAWS, "op", "directed"])
     p.set_defaults(fn=_cmd_algebra)
 
     p = add("op-check", help="opposite-algebra isomorphism check")

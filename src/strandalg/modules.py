@@ -12,13 +12,13 @@ through a finite dual type D model (see mor_complex).
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
+from .diagrams import _as_int
 from .homalg import ChainComplex
 from .strands import Algebra
-from .surface import parse_surface
+from .surface import SurfaceError, parse_surface
 
 # longest delta chain box_tensor follows before raising DepthExceeded
 MAX_DEPTH = 64
@@ -29,8 +29,8 @@ class ModuleFormatError(ValueError):
     ``syntax`` (not JSON, an unreadable file, or a missing or mistyped
     field), ``bad-descriptor`` (a basis descriptor that names no basis
     element), ``invalid`` (unknown or duplicate generators, a wrong-size
-    idempotent, an idempotent argument, an unknown type or a bad k) or
-    ``mismatch`` (modules over different algebras paired)."""
+    idempotent, an idempotent argument, an unknown type, a malformed surface
+    or a bad k) or ``mismatch`` (modules over different algebras paired)."""
 
     def __init__(self, code: str, message: str):
         super().__init__(message)
@@ -145,13 +145,20 @@ def _load_algebra(ref, base_dir) -> Algebra:
             text = path.read_text()
         except OSError as e:
             raise ModuleFormatError("syntax", f"algebra: field 'surface' = {surf!r} is invalid: cannot read {path}: {e.strerror}") from e
-        ds = parse_surface(text)
     else:
-        ds = parse_surface(json.dumps(surf))
+        text = json.dumps(surf)
+    try:
+        ds = parse_surface(text)
+    except SurfaceError as e:
+        raise ModuleFormatError("invalid", f"algebra: field 'surface' is invalid: {e}") from e
     k = _field(ref, "k", "algebra")
     try:
-        return Algebra.from_surface(ds, int(k))
-    except (TypeError, ValueError) as e:
+        k_int = _as_int(k)
+    except TypeError as e:
+        raise ModuleFormatError("syntax", f"algebra: field 'k' is not an integer: {k!r}") from e
+    try:
+        return Algebra.from_surface(ds, k_int)
+    except ValueError as e:
         raise ModuleFormatError("invalid", f"algebra: field 'k' = {k!r} is invalid: {e}") from e
 
 
@@ -200,7 +207,7 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
         gens.append(name)
         arcs = _field(g, "idempotent", f"generator {n}")
         try:
-            idem[name] = frozenset(operator.index(a) for a in arcs)
+            idem[name] = frozenset(_as_int(a) for a in arcs)
         except TypeError as e:
             raise ModuleFormatError("syntax", f"generator {n}: field 'idempotent' is not a list of arcs: {arcs!r}") from e
     if len(set(gens)) != len(gens):

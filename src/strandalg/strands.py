@@ -22,6 +22,11 @@ a start set of a_j's; every call reads its rows from the table as it stands,
 so the law, isomorphism and module checks see a corrupted entry wherever it
 is.
 
+check_algebra runs the laws of LAWS in order.  Each maps the algebra and its
+product rows to failure witnesses; closure, which has no function, holds when
+filling the differential and the product rows raises nothing.  A law that meets
+a sum outside the matched span fails with that NotInMatchedSpan as its one line.
+
 Nothing here looks at the complement faces: the algebra depends only on the
 intervals, the positions, and the matching.
 """
@@ -432,146 +437,141 @@ class AlgebraCheckReport:
         return all(self.laws.values())
 
 
-def check_algebra(
-    ds: DecoratedSurface,
-    k: int,
-    checks=("d2", "leibniz", "assoc", "closure", "idempotents"),
-    algebra: Algebra | None = None,
-) -> AlgebraCheckReport:
-    """Verify the differential-algebra laws over the whole basis.
+def _d2(alg: Algebra, rows) -> list[str]:
+    bad = [(i, r) for i in range(alg.dim) if (r := alg.diff_support(alg.diff_basis(i)))]
+    return [f"d2 fails on {alg.describe(i)}: residue {alg.describe_sum(r)}" for i, r in bad[:3]]
+
+
+def _leibniz(alg: Algebra, rows) -> list[str]:
+    # y -> every j with y in d(a_j)
+    d_into: dict[int, list[int]] = {}
+    for j in range(alg.dim):
+        for y in alg.diff_basis(j):
+            d_into.setdefault(y, []).append(j)
+    bad = []
+    for i, b in enumerate(alg.basis):
+        # both d(a_i a_j) and (d a_i) a_j + a_i (d a_j) vanish unless a_i
+        # a_j, x a_j for a term x of d a_i, or a_i y for a term y of d a_j
+        # is a nonzero product of the table
+        di = alg.diff_basis(i)
+        js = set(rows[i])
+        for x in di:
+            js.update(rows[x])
+        for y in rows[i]:
+            js.update(d_into.get(y, ()))
+        for j in sorted(js):
+            if alg.basis[j].s != b.t:
+                continue
+            lhs = alg.diff_support(rows[i].get(j, _ZERO))
+            rhs = _ZERO
+            for x in di:
+                rhs ^= rows[x].get(j, _ZERO)
+            for y in alg.diff_basis(j):
+                rhs ^= rows[i].get(y, _ZERO)
+            if lhs != rhs:
+                bad.append((i, j, lhs ^ rhs))
+    return [
+        f"leibniz fails on ({alg.describe(i)}, {alg.describe(j)}): residue {alg.describe_sum(r)}"
+        for i, j, r in bad[:3]
+    ]
+
+
+def _assoc(alg: Algebra, rows) -> list[str]:
+    # y -> every j with y a term of a_j a_l for some l
+    made_from: dict[int, set] = {}
+    for j, row in enumerate(rows):
+        for p in row.values():
+            for y in p:
+                made_from.setdefault(y, set()).add(j)
+    bad = []
+    for i, b in enumerate(alg.basis):
+        # both sides vanish at (i, j, l) unless a_i a_j is nonzero or a_j
+        # a_l has a term y with a_i y nonzero
+        js = set(rows[i])
+        for y in rows[i]:
+            js.update(made_from.get(y, ()))
+        for j in sorted(js):
+            if alg.basis[j].s != b.t:
+                continue
+            ij = rows[i].get(j, _ZERO)
+            # l runs over the keys of rows[j] and of rows[x] for a term x of
+            # a_i a_j, composable with a_j, in ascending order
+            tj = alg.basis[j].t
+            ls = set(rows[j])
+            for x in ij:
+                ls.update(rows[x])
+            for l in sorted(ls):
+                if alg.basis[l].s != tj:
+                    continue
+                lhs = _ZERO
+                for x in ij:
+                    lhs ^= rows[x].get(l, _ZERO)
+                rhs = _ZERO
+                for y in rows[j].get(l, _ZERO):
+                    rhs ^= rows[i].get(y, _ZERO)
+                if lhs != rhs:
+                    bad.append((i, j, l, lhs ^ rhs))
+    return [
+        f"assoc fails on ({alg.describe(i)}, {alg.describe(j)}, {alg.describe(l)}): residue {alg.describe_sum(r)}"
+        for i, j, l, r in bad[:3]
+    ]
+
+
+def _idempotents(alg: Algebra, rows) -> list[str]:
+    failures = []
+    idems = alg.idempotents()
+    for a, b in itertools.product(idems, idems):
+        if residue := alg.mul_basis(a, b) ^ (frozenset([a]) if a == b else _ZERO):
+            failures.append(
+                f"idempotent orthogonality fails on ({alg.describe(a)}, {alg.describe(b)}): "
+                f"residue {alg.describe_sum(residue)}"
+            )
+    # a_i sits between I(s) and I(t); its products with every other
+    # idempotent vanish by composability, which orthogonality covers
+    idem_of = {s: alg.idempotent_index(s) for s in alg.by_source}
+    for i, b in enumerate(alg.basis):
+        one = frozenset([i])
+        if residue := (alg.mul_basis(idem_of[b.s], i) ^ one) or (alg.mul_basis(i, idem_of[b.t]) ^ one):
+            failures.append(f"unit law fails on {alg.describe(i)}: residue {alg.describe_sum(residue)}")
+            break
+    if len(idems) != comb(alg.n_arcs, alg.k):
+        failures.append("idempotent count differs from C(n, k)")
+    return failures
+
+
+LAWS = {"closure": None, "d2": _d2, "leibniz": _leibniz, "assoc": _assoc, "idempotents": _idempotents}
+_ROW_LAWS = ("closure", "leibniz", "assoc")  # the laws that read the product rows
+
+
+def check_algebra(ds: DecoratedSurface, k: int, checks=tuple(LAWS), algebra: Algebra | None = None) -> AlgebraCheckReport:
+    """Verify the named laws of LAWS over the whole basis.
 
     Pass `algebra` to check an already built A(ds, k) and reuse its filled
     tables instead of building it again."""
-    if algebra is None:
-        algebra = Algebra.from_surface(ds, k)
-    elif (algebra.interval_arcs, algebra.k, algebra.n_arcs) != (_interval_arcs(ds), k, ds.n_arcs):
+    if unknown := sorted(set(checks) - LAWS.keys()):
+        raise ValueError(f"unknown law(s) {unknown}")
+    alg = algebra if algebra is not None else Algebra.from_surface(ds, k)
+    if (alg.interval_arcs, alg.k, alg.n_arcs) != (_interval_arcs(ds), k, ds.n_arcs):
         raise ValueError(f"algebra is not the algebra of this surface at k={k}")
-    alg = algebra
-    laws: dict[str, bool] = {}
-    failures: list[str] = []
-    right = None  # the nonzero rows of the product table under check
-
-    if "closure" in checks:
-        ok = True
+    rows = fill_error = None
+    if any(name in checks for name in _ROW_LAWS):
         try:
             for i in range(alg.dim):
                 alg.diff_basis(i)
-            right = alg.products()
+            rows = alg.products()
         except NotInMatchedSpan as e:
-            ok = False
-            failures.append(f"closure: {e}")
-        laws["closure"] = ok
-
-    if "d2" in checks:
-        bad = [(i, r) for i in range(alg.dim) if (r := alg.diff_support(alg.diff_basis(i)))]
-        laws["d2"] = not bad
-        failures += [f"d2 fails on {alg.describe(i)}: residue {alg.describe_sum(r)}" for i, r in bad[:3]]
-
-    if ("leibniz" in checks or "assoc" in checks) and right is None:
-        right = alg.products()
-
-    if "leibniz" in checks:
-        # y -> every j with y in d(a_j)
-        d_into: dict[int, list[int]] = {}
-        for j in range(alg.dim):
-            for y in alg.diff_basis(j):
-                d_into.setdefault(y, []).append(j)
-        bad = []
-        for i, b in enumerate(alg.basis):
-            # both d(a_i a_j) and (d a_i) a_j + a_i (d a_j) vanish unless a_i
-            # a_j, x a_j for a term x of d a_i, or a_i y for a term y of d a_j
-            # is a nonzero product of the table
-            di = alg.diff_basis(i)
-            js = set(right[i])
-            for x in di:
-                js.update(right[x])
-            for y in right[i]:
-                js.update(d_into.get(y, ()))
-            for j in sorted(js):
-                if alg.basis[j].s != b.t:
-                    continue
-                lhs = alg.diff_support(right[i].get(j, _ZERO))
-                rhs = _ZERO
-                for x in di:
-                    rhs ^= right[x].get(j, _ZERO)
-                for y in alg.diff_basis(j):
-                    rhs ^= right[i].get(y, _ZERO)
-                if lhs != rhs:
-                    bad.append((i, j, lhs ^ rhs))
-        laws["leibniz"] = not bad
-        failures += [
-            f"leibniz fails on ({alg.describe(i)}, {alg.describe(j)}): residue {alg.describe_sum(r)}"
-            for i, j, r in bad[:3]
-        ]
-
-    if "assoc" in checks:
-        # y -> every j with y a term of a_j a_l for some l
-        made_from: dict[int, set] = {}
-        for j, row in enumerate(right):
-            for p in row.values():
-                for y in p:
-                    made_from.setdefault(y, set()).add(j)
-        bad = []
-        for i, b in enumerate(alg.basis):
-            # both sides vanish at (i, j, l) unless a_i a_j is nonzero or a_j
-            # a_l has a term y with a_i y nonzero
-            js = set(right[i])
-            for y in right[i]:
-                js.update(made_from.get(y, ()))
-            for j in sorted(js):
-                if alg.basis[j].s != b.t:
-                    continue
-                ij = right[i].get(j, _ZERO)
-                # l runs over the keys of right[j] and of right[x] for a term x
-                # of a_i a_j, composable with a_j, in ascending order
-                tj = alg.basis[j].t
-                ls = set(right[j])
-                for x in ij:
-                    ls.update(right[x])
-                for l in sorted(ls):
-                    if alg.basis[l].s != tj:
-                        continue
-                    lhs = _ZERO
-                    for x in ij:
-                        lhs ^= right[x].get(l, _ZERO)
-                    rhs = _ZERO
-                    for y in right[j].get(l, _ZERO):
-                        rhs ^= right[i].get(y, _ZERO)
-                    if lhs != rhs:
-                        bad.append((i, j, l, lhs ^ rhs))
-        laws["assoc"] = not bad
-        failures += [
-            f"assoc fails on ({alg.describe(i)}, {alg.describe(j)}, {alg.describe(l)}): "
-            f"residue {alg.describe_sum(r)}"
-            for i, j, l, r in bad[:3]
-        ]
-
-    if "idempotents" in checks:
-        ok = True
-        idems = alg.idempotents()
-        for a, b in itertools.product(idems, idems):
-            residue = alg.mul_basis(a, b) ^ (frozenset([a]) if a == b else _ZERO)
-            if residue:
-                ok = False
-                failures.append(
-                    f"idempotent orthogonality fails on ({alg.describe(a)}, {alg.describe(b)}): "
-                    f"residue {alg.describe_sum(residue)}"
-                )
-        # a_i sits between I(s) and I(t); its products with every other
-        # idempotent vanish by composability, which orthogonality covers
-        idem_of = {s: alg.idempotent_index(s) for s in alg.by_source}
-        for i, b in enumerate(alg.basis):
-            one = frozenset([i])
-            residue = (alg.mul_basis(idem_of[b.s], i) ^ one) or (alg.mul_basis(i, idem_of[b.t]) ^ one)
-            if residue:
-                ok = False
-                failures.append(f"unit law fails on {alg.describe(i)}: residue {alg.describe_sum(residue)}")
-                break
-        if len(idems) != comb(alg.n_arcs, k):
-            ok = False
-            failures.append("idempotent count differs from C(n, k)")
-        laws["idempotents"] = ok
-
+            fill_error = e
+    laws, failures = {}, []
+    for name, law in LAWS.items():
+        if name in checks:
+            try:
+                if fill_error and name in _ROW_LAWS:
+                    raise fill_error
+                lines = law(alg, rows) if law else []
+            except NotInMatchedSpan as e:
+                lines = [f"{name}: {e}"]
+            laws[name] = not lines
+            failures += lines
     return AlgebraCheckReport(dim=alg.dim, laws=laws, failures=failures)
 
 

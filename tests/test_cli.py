@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from strandalg import corpus
+from strandalg import cli, corpus
 from strandalg.acceptance import CRITERIA
 from strandalg.cli import run
 from strandalg.corpus import data_dir
@@ -60,6 +60,13 @@ def test_algebra_all_checks():
     assert rep.results["directed"] is False
     names = {c["name"] for c in rep.checks}
     assert {"d2", "leibniz", "assoc", "closure", "idempotents", "opposite"} <= names
+
+
+def test_algebra_op_check_reports_its_first_witness(monkeypatch):
+    monkeypatch.setattr(cli, "opposite_check", lambda ds, k, verbose=False: (False, ["first", "second"]))
+    status, rep = run(["algebra", TORUS, "--k", "1", "--check", "op"])
+    assert status == 1
+    assert rep.checks == [{"name": "opposite", "pass": False, "detail": "first"}]
 
 
 def test_algebra_dump(tmp_path):

@@ -403,23 +403,32 @@ def _set_alg(data, desc):
         (lambda d: _set_alg(d, {"markers": [0, 1]}), "bad-descriptor", "descriptor does not select 1 distinct arcs"),
         (lambda d: _set_alg(d, {"markers": [0, 0]}), "bad-descriptor",
          'bad descriptor {"markers": [0, 0]}: arc 0 marked twice'),
-        (lambda d: d["algebra"].update(k="x"), "invalid", "algebra: field 'k' = 'x' is invalid: invalid literal"),
+        (lambda d: d["algebra"].update(k="x"), "syntax", "algebra: field 'k' is not an integer: 'x'"),
+        (lambda d: d["algebra"].update(k=1.5), "syntax", "algebra: field 'k' is not an integer: 1.5"),
+        (lambda d: d["algebra"].update(k=True), "syntax", "algebra: field 'k' is not an integer: True"),
         (lambda d: d["algebra"].update(k=99), "invalid",
          "algebra: field 'k' = 99 is invalid: k=99 out of range for 2 arcs"),
         (lambda d: d["generators"][0].update(idempotent=5), "syntax",
          "generator 0: field 'idempotent' is not a list of arcs: 5"),
         (lambda d: d["generators"][0].update(idempotent="01"), "syntax",
          "generator 0: field 'idempotent' is not a list of arcs: '01'"),
+        (lambda d: d["generators"][0].update(idempotent=[False]), "syntax",
+         "generator 0: field 'idempotent' is not a list of arcs: [False]"),
         (lambda d: d["algebra"].update(surface="nope.json"), "syntax",
          f"algebra: field 'surface' = 'nope.json' is invalid: cannot read {data_dir() / 'modules' / 'nope.json'}: "),
+        (lambda d: d["algebra"].update(surface={"circles": [["e1"]], "arcs": []}), "invalid",
+         "algebra: field 'surface' is invalid: endpoint(s) ['e1'] not matched between circles and arcs"),
+        (lambda d: d["algebra"].update(surface="solid_torus_typeA.json"), "invalid",
+         "algebra: field 'surface' is invalid: expected object with 'circles' and 'arcs'"),
         ('{"type": "D", ', "syntax", "module is not valid JSON: "),
         ("{not json", "syntax", "module is not valid JSON: "),
         (Path("missing.json"), "syntax", "module: cannot read "),
         (Path(), "syntax", "module: cannot read "),
     ],
     ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
-         "range", "chord", "chords-int", "markers", "markers-twice", "k-str", "k-range", "idempotent-int",
-         "idempotent-str", "surface", "json-truncated", "json-syntax", "path-missing", "path-directory"],
+         "range", "chord", "chords-int", "markers", "markers-twice", "k-str", "k-float", "k-bool", "k-range",
+         "idempotent-int", "idempotent-str", "idempotent-bool", "surface", "surface-inline", "surface-file",
+         "json-truncated", "json-syntax", "path-missing", "path-directory"],
 )
 def test_malformed_module_is_a_format_error(name, edit, code, message, tmp_path):
     data = json.loads((data_dir() / "modules" / f"{name}.json").read_text())

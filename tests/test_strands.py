@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from collections import Counter
 from math import comb
 
@@ -454,6 +455,32 @@ def test_check_algebra_rejects_a_foreign_algebra():
         check_algebra(TORUS, 1, algebra=Algebra.from_surface(TORUS, 2))
     with pytest.raises(ValueError):
         check_algebra(DISC1, 1, algebra=Algebra.from_surface(TORUS, 1))
+
+
+def test_check_algebra_rejects_an_unknown_law():
+    with pytest.raises(ValueError, match=re.escape("unknown law(s) ['assco']")):
+        check_algebra(TORUS, 1, checks=("assco",))
+
+
+def test_d2_alone_fills_no_product():
+    alg = Algebra.from_surface(TORUS, 2)
+    assert check_algebra(TORUS, 2, checks=("d2",), algebra=alg).ok
+    assert not alg._mul
+
+
+def test_a_sum_outside_the_matched_span_fails_each_law_that_meets_it(monkeypatch):
+    alg = Algebra.from_surface(TORUS, 1)
+    (d,) = alg._expansions[alg.basis_index({"chords": [[0, 3]]})]
+    del alg._owner[d]
+    reads = []
+    products = alg.products
+    monkeypatch.setattr(alg, "products", lambda: reads.append(1) or products())
+    rep = check_algebra(TORUS, 1, algebra=alg)
+    assert rep.laws == {"closure": False, "d2": True, "leibniz": False, "assoc": False, "idempotents": False}
+    assert rep.failures == [
+        f"{law}: diagram ((0, 3),) matches no basis element" for law in ("closure", "leibniz", "assoc", "idempotents")
+    ]
+    assert len(reads) == 1
 
 
 # ---------------------------------------------------------------------------
