@@ -138,7 +138,7 @@ def _cmd_algebra(args, report):
     if law_names:
         rep = check_algebra(ds, args.k, checks=tuple(law_names), algebra=alg)
         for name in law_names:
-            report.add_check(name, rep.laws[name], "; ".join(rep.failures[:1]))
+            report.add_check(name, rep.laws[name], "; ".join(rep.law_failures[name][:1]))
     if "op" in which:
         ok, failures = opposite_check(ds, args.k, verbose=True)
         report.add_check("opposite", ok, "; ".join(failures[:1]))

@@ -15,12 +15,12 @@ pair of indices, to the frozenset of basis indices of its image (a GF(2)
 sum).  Basis descriptors name them in files and failure witnesses.
 
 Algebra.products() is the one sparse view of the product table: row i maps
-each j to a nonzero a_i * a_j.  Two diagrams compose only where the end
-positions of the first are exactly the start positions of the second, so the
-first call composes a_i with a_j only where an end set of a_i's expansion is
-a start set of a_j's; every call reads its rows from the table as it stands,
-so the law, isomorphism and module checks see a corrupted entry wherever it
-is.
+each j to a nonzero a_i * a_j.  One kernel fills the table a row at a time,
+for products() and mul_basis alike: two diagrams compose only where the end
+positions of the first are the start positions of the second, and to a
+nonzero diagram only where no strand pair crosses in both, a test of two
+crossing bitmasks.  Every call reads its rows from the table as it stands, so
+the law, isomorphism and module checks see a corrupted entry wherever it is.
 
 check_algebra runs the laws of LAWS in order.  Each maps the algebra and its
 product rows to failure witnesses; closure, which has no function, holds when
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
+from .diagrams import _as_int
 from .surface import DecoratedSurface, boundary_connected_sum, reverse_orientation
 
 
@@ -128,13 +129,10 @@ class Algebra:
                 self._owner[d] = i
         self._diff: dict[int, frozenset] = {}
         self._mul: dict[tuple[int, int], frozenset] = {}
-        # per basis element, filled on first use by mul_basis: as a left
-        # factor, (diagram, end set, inversions) per expansion diagram; as a
-        # right factor, start set -> [(end of each strand by its start,
-        # inversions)]
-        self._as_left: dict[int, list] = {}
-        self._as_right: dict[int, dict] = {}
-        self._products_filled = False
+        # built on first use by _fill_row: start set -> [(j, end of each
+        # strand by its start, crossing mask)] over every expansion diagram
+        self._starting_at: dict[int, list] | None = None
+        self._filled_rows: set[int] = set()
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
@@ -168,9 +166,10 @@ class Algebra:
 
     def basis_index(self, desc: dict) -> int:
         """Resolve {"chords": [[p, q], ...], "markers": [arc, ...]} to the
-        index of a basis element."""
+        index of a basis element; positions and arcs are JSON integers."""
         f_map, assign_map = {}, {}
         for p, q in desc.get("chords", ()):
+            p, q = _as_int(p), _as_int(q)
             if not (0 <= p < self.n_positions and 0 <= q < self.n_positions):
                 raise ValueError(f"position out of range in chord ({p},{q})")
             i, j = self.pos_arc[p], self.pos_arc[q]
@@ -180,7 +179,7 @@ class Algebra:
                 raise ValueError(f"two chords start on arc {i}")
             f_map[i] = j
             assign_map[i] = (p, q)
-        for a in desc.get("markers", ()):
+        for a in map(_as_int, desc.get("markers", ())):
             if a in assign_map and assign_map[a] is None:
                 raise ValueError(f"arc {a} marked twice")
             if a in assign_map:
@@ -308,55 +307,61 @@ class Algebra:
         return cached
 
     def mul_basis(self, i: int, j: int) -> frozenset:
-        key = (i, j)
-        cached = self._mul.get(key)
+        cached = self._mul.get((i, j))
         if cached is None:
             if self.basis[i].t != self.basis[j].s:
                 return _ZERO
-            # two diagrams compose only where the ends of the first are the
-            # starts of the second, and only if their inversion counts add
-            acc: set = set()
-            right = self._right_factor(j)
-            for d1, ends, inv1 in self._left_factor(i):
-                for step, inv2 in right.get(ends, ()):
-                    comp = _sorted_diagram((p, step[q]) for p, q in d1)
-                    if self.inversions(comp) == inv1 + inv2:
-                        acc ^= {comp}
-            cached = self.contract(acc)
-            self._mul[key] = cached
+            if i not in self._filled_rows:
+                self._fill_row(i)
+            # still unset after the fill: no diagram of a_i composes with one of a_j
+            cached = self._mul.setdefault((i, j), _ZERO)
         return cached
 
-    def _left_factor(self, i: int) -> list:
-        out = self._as_left.get(i)
-        if out is None:
-            out = [(d, frozenset(q for _, q in d), self.inversions(d)) for d in self._expansions[i]]
-            self._as_left[i] = out
-        return out
+    def _crossings(self, diagram, side: int) -> int:
+        """Bit a * n_positions + b per crossing strand pair with ends a < b on side 0 (starts) or 1 (ends)."""
+        mask = 0
+        for s1, s2 in itertools.combinations(diagram, 2):
+            if self.pos_interval[s1[0]] == self.pos_interval[s2[0]] and (s1[0] - s2[0]) * (s1[1] - s2[1]) < 0:
+                mask |= 1 << (min(s1[side], s2[side]) * self.n_positions + max(s1[side], s2[side]))
+        return mask
 
-    def _right_factor(self, j: int) -> dict:
-        out = self._as_right.get(j)
-        if out is None:
-            out = {}
-            for d in self._expansions[j]:
-                out.setdefault(frozenset(p for p, _ in d), []).append((dict(d), self.inversions(d)))
-            self._as_right[j] = out
-        return out
+    def _fill_row(self, i: int) -> None:
+        """Store a_i * a_j wherever a diagram of a_i composes with one of a_j
+        and (i, j) has no entry yet, and mark row i filled.
+
+        The middle positions of a composition are distinct, so its inversion
+        count is the sum of its factors' counts less twice the strand pairs
+        crossing in both: the inversion counts add exactly where the two
+        crossing masks over the middle positions are disjoint.  The starts of
+        a left diagram are sorted, so each composition is too."""
+        if self._starting_at is None:
+            self._starting_at = {}
+            for j, exp in enumerate(self._expansions):
+                for d in exp:
+                    self._starting_at.setdefault(sum(1 << p for p, _ in d), []).append((j, dict(d), self._crossings(d, 0)))
+        acc: dict[int, set] = {}
+        for d in self._expansions[i]:
+            starts, ends, left = tuple(p for p, _ in d), tuple(q for _, q in d), self._crossings(d, 1)
+            for j, step, right in self._starting_at.get(sum(1 << q for q in ends), ()):
+                if not left & right:
+                    comp = tuple(zip(starts, map(step.__getitem__, ends)))
+                    if (terms := acc.get(j)) is None:
+                        acc[j] = {comp}
+                    else:
+                        terms ^= {comp}
+        for j in sorted(acc):
+            if (i, j) not in self._mul:
+                self._mul[i, j] = self.contract(acc[j])
+        self._filled_rows.add(i)
 
     def products(self) -> list[dict[int, frozenset]]:
         """The nonzero rows of the product table: row i maps j to a_i * a_j
-        wherever that is nonzero.  The first call fills the table, composing
-        a_i with a_j only where an end set of a_i is a start set of a_j (every
-        other product is an empty sum); every call reads the rows from the
-        table as it stands."""
-        if not self._products_filled:
-            starting_at: dict[frozenset, list[int]] = {}
-            for j in range(self.dim):
-                for starts in self._right_factor(j):
-                    starting_at.setdefault(starts, []).append(j)
-            for i in range(self.dim):
-                for j in sorted({j for _, ends, _ in self._left_factor(i) for j in starting_at.get(ends, ())}):
-                    self.mul_basis(i, j)
-            self._products_filled = True
+        wherever that is nonzero.  Rows not yet filled go through _fill_row,
+        which composes only diagrams meeting end set to start set with
+        disjoint crossing masks; every call reads the table as it stands."""
+        for i in range(self.dim):
+            if i not in self._filled_rows:
+                self._fill_row(i)
         rows: list[dict[int, frozenset]] = [{} for _ in range(self.dim)]
         for (i, j), p in self._mul.items():
             if p:
@@ -429,12 +434,19 @@ def _interval_arcs(ds: DecoratedSurface) -> tuple:
 @dataclass
 class AlgebraCheckReport:
     dim: int
-    laws: dict
-    failures: list
+    law_failures: dict  # law name -> its own failure lines, in LAWS order
+
+    @property
+    def laws(self) -> dict:
+        return {name: not lines for name, lines in self.law_failures.items()}
+
+    @property
+    def failures(self) -> list:
+        return [line for lines in self.law_failures.values() for line in lines]
 
     @property
     def ok(self) -> bool:
-        return all(self.laws.values())
+        return not self.failures
 
 
 def _d2(alg: Algebra, rows) -> list[str]:
@@ -561,7 +573,7 @@ def check_algebra(ds: DecoratedSurface, k: int, checks=tuple(LAWS), algebra: Alg
             rows = alg.products()
         except NotInMatchedSpan as e:
             fill_error = e
-    laws, failures = {}, []
+    law_failures = {}
     for name, law in LAWS.items():
         if name in checks:
             try:
@@ -570,9 +582,8 @@ def check_algebra(ds: DecoratedSurface, k: int, checks=tuple(LAWS), algebra: Alg
                 lines = law(alg, rows) if law else []
             except NotInMatchedSpan as e:
                 lines = [f"{name}: {e}"]
-            laws[name] = not lines
-            failures += lines
-    return AlgebraCheckReport(dim=alg.dim, laws=laws, failures=failures)
+            law_failures[name] = lines
+    return AlgebraCheckReport(dim=alg.dim, law_failures=law_failures)
 
 
 def _token_positions(ds: DecoratedSurface) -> dict[str, int]:

@@ -8,6 +8,7 @@ from strandalg.acceptance import CRITERIA
 from strandalg.cli import run
 from strandalg.corpus import data_dir
 from strandalg.diagrams import parse_diagram
+from strandalg.strands import Algebra
 from strandalg.surface import parse_surface
 
 DATA = data_dir()
@@ -67,6 +68,29 @@ def test_algebra_op_check_reports_its_first_witness(monkeypatch):
     status, rep = run(["algebra", TORUS, "--k", "1", "--check", "op"])
     assert status == 1
     assert rep.checks == [{"name": "opposite", "pass": False, "detail": "first"}]
+
+
+def test_algebra_each_law_reports_its_own_first_witness(monkeypatch):
+    status, rep = run(["algebra", TORUS, "--k", "1", "--check", "d2", "--check", "closure", "--check", "leibniz"])
+    assert status == 0
+    assert rep.checks == [{"name": name, "pass": True} for name in ("d2", "closure", "leibniz")]
+
+    build = Algebra.from_surface.__func__
+
+    def from_surface(cls, ds, k):
+        alg = build(cls, ds, k)
+        (d,) = alg._expansions[alg.basis_index({"chords": [[0, 3]]})]
+        del alg._owner[d]
+        return alg
+
+    monkeypatch.setattr(Algebra, "from_surface", classmethod(from_surface))
+    status, rep = run(["algebra", TORUS, "--k", "1", "--check", "d2", "--check", "closure", "--check", "leibniz"])
+    assert status == 1
+    assert rep.checks == [
+        {"name": "d2", "pass": True},
+        {"name": "closure", "pass": False, "detail": "closure: diagram ((0, 3),) matches no basis element"},
+        {"name": "leibniz", "pass": False, "detail": "leibniz: diagram ((0, 3),) matches no basis element"},
+    ]
 
 
 def test_algebra_dump(tmp_path):

@@ -403,6 +403,12 @@ def _set_alg(data, desc):
         (lambda d: _set_alg(d, {"markers": [0, 1]}), "bad-descriptor", "descriptor does not select 1 distinct arcs"),
         (lambda d: _set_alg(d, {"markers": [0, 0]}), "bad-descriptor",
          'bad descriptor {"markers": [0, 0]}: arc 0 marked twice'),
+        (lambda d: _set_alg(d, {"chords": [[False, 3]]}), "bad-descriptor",
+         'operation 0: bad descriptor {"chords": [[false, 3]]}: False is a boolean'),
+        (lambda d: _set_alg(d, {"chords": [[0, 1.5]]}), "bad-descriptor",
+         'operation 0: bad descriptor {"chords": [[0, 1.5]]}: '),
+        (lambda d: _set_alg(d, {"markers": [False]}), "bad-descriptor",
+         'operation 0: bad descriptor {"markers": [false]}: False is a boolean'),
         (lambda d: d["algebra"].update(k="x"), "syntax", "algebra: field 'k' is not an integer: 'x'"),
         (lambda d: d["algebra"].update(k=1.5), "syntax", "algebra: field 'k' is not an integer: 1.5"),
         (lambda d: d["algebra"].update(k=True), "syntax", "algebra: field 'k' is not an integer: True"),
@@ -426,7 +432,8 @@ def _set_alg(data, desc):
         (Path(), "syntax", "module: cannot read "),
     ],
     ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
-         "range", "chord", "chords-int", "markers", "markers-twice", "k-str", "k-float", "k-bool", "k-range",
+         "range", "chord", "chords-int", "markers", "markers-twice", "chords-bool", "chords-float",
+         "markers-bool", "k-str", "k-float", "k-bool", "k-range",
          "idempotent-int", "idempotent-str", "idempotent-bool", "surface", "surface-inline", "surface-file",
          "json-truncated", "json-syntax", "path-missing", "path-directory"],
 )

@@ -450,6 +450,54 @@ def test_block_index_matches_all_pairs_scan():
         assert not any(alg.mul_basis(i, j) for i, j in scan if (i, j) not in kept)
 
 
+def test_crossing_masks_match_the_inversion_recount():
+    """On every composed diagram pair of the corpus, the crossing masks over
+    the middle positions are disjoint exactly where the inversion counts add,
+    and the composition built in left-diagram order is already sorted."""
+    pairs = 0
+    for _, ds in corpus_surfaces():
+        for k in range(ds.n_arcs + 1):
+            alg = Algebra.from_surface(ds, k)
+            diagrams = [d for exp in alg._expansions for d in exp]
+            starting_at = {}
+            for d in diagrams:
+                starting_at.setdefault(frozenset(p for p, _ in d), []).append(d)
+            for d1 in diagrams:
+                for d2 in starting_at.get(frozenset(q for _, q in d1), ()):
+                    step = dict(d2)
+                    comp = tuple((p, step[q]) for p, q in d1)
+                    assert comp == tuple(sorted(comp))
+                    adds = alg.inversions(comp) == alg.inversions(d1) + alg.inversions(d2)
+                    assert (not alg._crossings(d1, 1) & alg._crossings(d2, 0)) == adds
+                    pairs += 1
+    assert pairs == 30_729
+
+
+@pytest.mark.parametrize(
+    "ds, k",
+    [(TORUS, 1), (TORUS, 2), (dict(corpus_surfaces())["n3_split6_m14"], 2), (dict(corpus_surfaces())["onedisc_g2"], 3)],
+    ids=["torus-k1", "torus-k2", "n3_split6_m14-k2", "onedisc_g2-k3"],
+)
+def test_on_demand_products_match_the_filled_table(ds, k):
+    """mul_basis over every composable pair, asked before any products()
+    call, fills rows one at a time and gives the table a fresh products()
+    fills; products() afterwards reads the same rows."""
+    alg = Algebra.from_surface(ds, k)
+    on_demand = {(i, j): p for i, j in _all_pairs_scan(alg) if (p := alg.mul_basis(i, j))}
+    filled = {(i, j): p for i, row in enumerate(Algebra.from_surface(ds, k).products()) for j, p in row.items()}
+    assert on_demand == filled
+    assert {(i, j): p for i, row in enumerate(alg.products()) for j, p in row.items()} == filled
+
+
+def test_the_fill_keeps_an_entry_set_before_it():
+    alg = Algebra.from_surface(TORUS, 1)
+    i, j = _torus_element(alg, chords=[[0, 2]]), _torus_element(alg, chords=[[2, 3]])
+    alg._mul[i, j] = frozenset([i])
+    rows = alg.products()
+    assert alg._mul[i, j] == frozenset([i]) and rows[i][j] == frozenset([i])
+    assert Algebra.from_surface(TORUS, 1).products()[i][j] == frozenset([_torus_element(alg, chords=[[0, 3]])])
+
+
 def test_check_algebra_rejects_a_foreign_algebra():
     with pytest.raises(ValueError):
         check_algebra(TORUS, 1, algebra=Algebra.from_surface(TORUS, 2))
