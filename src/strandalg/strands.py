@@ -318,10 +318,12 @@ class Algebra:
         return cached
 
     def _crossings(self, diagram, side: int) -> int:
-        """Bit a * n_positions + b per crossing strand pair with ends a < b on side 0 (starts) or 1 (ends)."""
+        """Bit a * n_positions + b per crossing strand pair with ends a < b on
+        side 0 (starts) or 1 (ends).  Positions run interval by interval, so
+        strands in different intervals never cross."""
         mask = 0
         for s1, s2 in itertools.combinations(diagram, 2):
-            if self.pos_interval[s1[0]] == self.pos_interval[s2[0]] and (s1[0] - s2[0]) * (s1[1] - s2[1]) < 0:
+            if (s1[0] - s2[0]) * (s1[1] - s2[1]) < 0:
                 mask |= 1 << (min(s1[side], s2[side]) * self.n_positions + max(s1[side], s2[side]))
         return mask
 

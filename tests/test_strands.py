@@ -480,8 +480,8 @@ def test_crossing_masks_match_the_inversion_recount():
 )
 def test_on_demand_products_match_the_filled_table(ds, k):
     """mul_basis over every composable pair, asked before any products()
-    call, fills rows one at a time and gives the table a fresh products()
-    fills; products() afterwards reads the same rows."""
+    call, fills the rows one at a time to the table that products() fills on
+    a fresh algebra; products() afterwards reads the same rows."""
     alg = Algebra.from_surface(ds, k)
     on_demand = {(i, j): p for i, j in _all_pairs_scan(alg) if (p := alg.mul_basis(i, j))}
     filled = {(i, j): p for i, row in enumerate(Algebra.from_surface(ds, k).products()) for j, p in row.items()}
