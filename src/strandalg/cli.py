@@ -194,9 +194,15 @@ def _cmd_euler(args, report):
     report.add_check("euler", True)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}: {e}") from None
+
+
 def _cmd_index(args, report):
-    e = Fraction(args.e)
-    mu = maslov_index(args.i, e, args.l, args.k)
+    mu = maslov_index(args.i, args.e, args.l, args.k)
     report.results["maslov_index"] = str(mu)
     report.add_check("index", True)
 
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("index", help="index formula i + 2e - (l-1)k/2")
     p.add_argument("--i", type=int, required=True)
-    p.add_argument("--e", required=True)
+    p.add_argument("--e", type=_fraction, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(fn=_cmd_index)

@@ -6,21 +6,25 @@ bijection f between them, and for each arc of s either a boundary chord ending
 on the matched arc or (when fixed by f) an identity marker.  Each basis
 element expands into 2^(#markers) unmatched strand diagrams, one horizontal
 strand per marker placed at either endpoint of its arc; the differential and
-product are computed on the diagrams (crossing resolution dropping the
-inversion count by exactly one; composition with additive inversion count) and
-contracted back to the matched basis.
+product are computed on the diagrams (smoothing a crossing with an empty
+rectangle; composition with additive inversion count) and contracted back to
+the matched basis.
 
 Algebra elements are named by basis index: the tables map an index, or a
 pair of indices, to the frozenset of basis indices of its image (a GF(2)
 sum).  Basis descriptors name them in files and failure witnesses.
 
-Algebra.products() is the one sparse view of the product table: row i maps
-each j to a nonzero a_i * a_j.  One kernel fills the table a row at a time,
-for products() and mul_basis alike: two diagrams compose only where the end
-positions of the first are the start positions of the second, and to a
-nonzero diagram only where no strand pair crosses in both, a test of two
-crossing bitmasks.  Every call reads its rows from the table as it stands, so
+The product table is the list of rows that Algebra.products() returns: row i
+maps each j to a nonzero a_i * a_j, and a row not filled yet is None.  One
+kernel fills a row, for products() and mul_basis alike: two diagrams compose
+only where the end positions of the first are the start positions of the
+second, and to a nonzero diagram only where no strand pair crosses in both, a
+test of two crossing bitmasks.  Every call reads the rows as they stand, so
 the law, isomorphism and module checks see a corrupted entry wherever it is.
+
+The differential swaps the ends of crossing strands (p1, q1), (p2, q2),
+p1 < p2 and q1 > q2, where their rectangle is empty: no strand (p, q) has
+p1 < p < p2 and q2 < q < q1, so the inversion count drops by exactly one.
 
 check_algebra runs the laws of LAWS in order.  Each maps the algebra and its
 product rows to failure witnesses; closure, which has no function, holds when
@@ -64,10 +68,6 @@ class BasisElement(NamedTuple):
         return all(c is None for c in self.assign)
 
 
-def _sorted_diagram(strands) -> tuple:
-    return tuple(sorted(strands))
-
-
 def _basis_element(f_map: dict, assign_map: dict) -> BasisElement:
     """The basis element sending each source arc i to f_map[i], along the
     chord assign_map[i] or, where that is None, an identity marker."""
@@ -78,11 +78,10 @@ def _basis_element(f_map: dict, assign_map: dict) -> BasisElement:
 class Algebra:
     """The algebra attached to an interval structure, a matching, and k."""
 
-    def __init__(self, interval_arcs, k: int, n_arcs: int | None = None):
+    def __init__(self, interval_arcs, k: int):
         """interval_arcs: per interval, the arc index at each position."""
         self.interval_arcs = tuple(tuple(iv) for iv in interval_arcs)
-        arcs_seen = sorted({a for iv in self.interval_arcs for a in iv})
-        self.n_arcs = n_arcs if n_arcs is not None else (max(arcs_seen) + 1 if arcs_seen else 0)
+        self.n_arcs = max((a + 1 for iv in self.interval_arcs for a in iv), default=0)
         if not 0 <= k <= self.n_arcs:
             raise ValueError(f"k={k} out of range for {self.n_arcs} arcs")
         self.k = k
@@ -101,8 +100,8 @@ class Algebra:
         for p, a in enumerate(self.pos_arc):
             self.arc_positions.setdefault(a, ())
             self.arc_positions[a] += (p,)
-        for a, ps in self.arc_positions.items():
-            if len(ps) != 2:
+        for a in range(self.n_arcs):
+            if len(ps := self.arc_positions.get(a, ())) != 2:
                 raise ValueError(f"arc {a} has {len(ps)} endpoint positions, expected 2")
 
         self.chords: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
@@ -128,15 +127,15 @@ class Algebra:
             for d in exp:
                 self._owner[d] = i
         self._diff: dict[int, frozenset] = {}
-        self._mul: dict[tuple[int, int], frozenset] = {}
+        # the product table: row i maps j to a nonzero a_i * a_j; None until filled
+        self._rows: list[dict[int, frozenset] | None] = [None] * self.dim
         # built on first use by _fill_row: start set -> [(j, end of each
         # strand by its start, crossing mask)] over every expansion diagram
         self._starting_at: dict[int, list] | None = None
-        self._filled_rows: set[int] = set()
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
-        return cls(_interval_arcs(ds), k, n_arcs=ds.n_arcs)
+        return cls(_interval_arcs(ds), k)
 
     # -- basis -------------------------------------------------------------
 
@@ -214,7 +213,7 @@ class Algebra:
         choice_arcs = b.marked
         out = []
         for pick in itertools.product(*(self.arc_positions[a] for a in choice_arcs)):
-            out.append(_sorted_diagram(fixed + [(p, p) for p in pick]))
+            out.append(tuple(sorted(fixed + [(p, p) for p in pick])))
         return frozenset(out)
 
     def inversions(self, diagram) -> int:
@@ -229,25 +228,15 @@ class Algebra:
         return inv
 
     def _resolutions(self, diagram):
-        """Resolve each crossing; keep results whose inversion count drops by
-        exactly one."""
-        inv0 = self.inversions(diagram)
-        strands = list(diagram)
-        for x, y in itertools.combinations(range(len(strands)), 2):
-            p1, q1 = strands[x]
-            p2, q2 = strands[y]
-            if self.pos_interval[p1] != self.pos_interval[p2]:
-                continue
-            if (self.pos_index[p1] - self.pos_index[p2]) * (
-                self.pos_index[q1] - self.pos_index[q2]
-            ) >= 0:
-                continue
-            out = list(strands)
-            out[x] = (p1, q2)
-            out[y] = (p2, q1)
-            res = _sorted_diagram(out)
-            if inv0 - self.inversions(res) == 1:
-                yield res
+        """Smooth each crossing of a start-sorted diagram whose rectangle
+        holds no other strand.  Strands run upward within an interval, so
+        (p1, q1) and (p2, q2) with p1 < p2 cross exactly where q1 > q2, and
+        swapping their ends keeps the smoothing sorted."""
+        for x, (p1, q1) in enumerate(diagram):
+            for y in range(x + 1, len(diagram)):
+                p2, q2 = diagram[y]
+                if q1 > q2 and not any(q2 < q < q1 for _, q in diagram[x + 1 : y]):
+                    yield diagram[:x] + ((p1, q2),) + diagram[x + 1 : y] + ((p2, q1),) + diagram[y + 1 :]
 
     def interpret(self, diagram) -> BasisElement | None:
         """The unique basis element whose expansion contains the diagram, if
@@ -307,15 +296,12 @@ class Algebra:
         return cached
 
     def mul_basis(self, i: int, j: int) -> frozenset:
-        cached = self._mul.get((i, j))
-        if cached is None:
+        row = self._rows[i]
+        if row is None:
             if self.basis[i].t != self.basis[j].s:
                 return _ZERO
-            if i not in self._filled_rows:
-                self._fill_row(i)
-            # still unset after the fill: no diagram of a_i composes with one of a_j
-            cached = self._mul.setdefault((i, j), _ZERO)
-        return cached
+            row = self._fill_row(i)
+        return row.get(j, _ZERO)
 
     def _crossings(self, diagram, side: int) -> int:
         """Bit a * n_positions + b per crossing strand pair with ends a < b on
@@ -327,9 +313,10 @@ class Algebra:
                 mask |= 1 << (min(s1[side], s2[side]) * self.n_positions + max(s1[side], s2[side]))
         return mask
 
-    def _fill_row(self, i: int) -> None:
-        """Store a_i * a_j wherever a diagram of a_i composes with one of a_j
-        and (i, j) has no entry yet, and mark row i filled.
+    def _fill_row(self, i: int) -> dict[int, frozenset]:
+        """Fill row i of the table with a_i * a_j wherever a diagram of a_i
+        composes with one of a_j and the product is nonzero, and return it.
+        Where contract raises, the row stays unfilled.
 
         The middle positions of a composition are distinct, so its inversion
         count is the sum of its factors' counts less twice the strand pairs
@@ -351,24 +338,18 @@ class Algebra:
                         acc[j] = {comp}
                     else:
                         terms ^= {comp}
-        for j in sorted(acc):
-            if (i, j) not in self._mul:
-                self._mul[i, j] = self.contract(acc[j])
-        self._filled_rows.add(i)
+        row = {j: p for j in sorted(acc) if (p := self.contract(acc[j]))}
+        self._rows[i] = row
+        return row
 
     def products(self) -> list[dict[int, frozenset]]:
-        """The nonzero rows of the product table: row i maps j to a_i * a_j
-        wherever that is nonzero.  Rows not yet filled go through _fill_row,
-        which composes only diagrams meeting end set to start set with
-        disjoint crossing masks; every call reads the table as it stands."""
-        for i in range(self.dim):
-            if i not in self._filled_rows:
+        """The product table itself, every row filled: row i maps j to a_i *
+        a_j wherever that is nonzero.  The rows are returned as stored, for
+        reading only, so a corrupted entry is read as it stands."""
+        for i, row in enumerate(self._rows):
+            if row is None:
                 self._fill_row(i)
-        rows: list[dict[int, frozenset]] = [{} for _ in range(self.dim)]
-        for (i, j), p in self._mul.items():
-            if p:
-                rows[i][j] = p
-        return rows
+        return self._rows
 
     def diff_support(self, support: frozenset) -> frozenset:
         acc: frozenset = frozenset()
@@ -594,7 +575,7 @@ def _token_positions(ds: DecoratedSurface) -> dict[str, int]:
 
 
 def _nonzero_pairs(rows) -> list[tuple[int, int]]:
-    """Every (i, j) with a nonzero entry in the product rows."""
+    """Every (i, j) with an entry in the product rows."""
     return [(i, j) for i, row in enumerate(rows) for j in row]
 
 
@@ -815,7 +796,7 @@ def brute_force_dimension(ds: DecoratedSurface, k: int) -> int:
 
     def extend(diagram, srcs_left, used_src_arcs, used_tgt_arcs):
         if not srcs_left:
-            b = alg.interpret(_sorted_diagram(diagram))
+            b = alg.interpret(diagram)
             if b is not None:
                 seen.add(b)
             return

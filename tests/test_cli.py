@@ -165,7 +165,16 @@ def test_pair_and_mor_agree():
     assert status == 0 and rep.results["rank"] == 3
 
 
-@pytest.mark.parametrize("argv", [["frobnicate"], ["suite", "--max-arcs", "1"], ["suite", "--seed", "0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frobnicate"],
+        ["suite", "--max-arcs", "1"],
+        ["suite", "--seed", "0"],
+        ["index", "--i", "0", "--e", "1/0", "--l", "3", "--k", "2"],
+        ["index", "--i", "0", "--e", "abc", "--l", "3", "--k", "2"],
+    ],
+)
 def test_unknown_arguments_are_rejected(argv):
     with pytest.raises(SystemExit):
         run(argv)

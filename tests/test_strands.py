@@ -81,6 +81,14 @@ def test_k_out_of_range():
         Algebra.from_surface(TORUS, 3)
 
 
+@pytest.mark.parametrize(
+    "interval_arcs, arc, count", [(((0, 1, 0),), 1, 1), (((0, 2, 0, 2),), 1, 0)], ids=["one-end", "missing-arc"]
+)
+def test_each_arc_needs_two_positions(interval_arcs, arc, count):
+    with pytest.raises(ValueError, match=f"arc {arc} has {count} endpoint positions"):
+        Algebra(interval_arcs, 0)
+
+
 def test_idempotent_count_is_n_choose_k():
     for _, ds in corpus_surfaces()[:25]:
         for k in range(ds.n_arcs + 1):
@@ -190,12 +198,8 @@ def test_algebra_depends_only_on_intervals_and_matching():
         for k in range(ds.n_arcs + 1):
             a = Algebra.from_surface(ds, k)
             arc_of = {t: i for i, pair in enumerate(ds.arcs) for t in pair}
-            b = Algebra(
-                tuple(tuple(arc_of[t] for t in iv) for iv in ds.intervals()),
-                k,
-                n_arcs=ds.n_arcs,
-            )
-            assert a.basis == b.basis
+            b = Algebra(tuple(tuple(arc_of[t] for t in iv) for iv in ds.intervals()), k)
+            assert b.n_arcs == ds.n_arcs and a.basis == b.basis
             assert all(a.diff_basis(i) == b.diff_basis(i) for i in range(a.dim))
             assert all(
                 a.mul_basis(i, j) == b.mul_basis(i, j)
@@ -473,6 +477,33 @@ def test_crossing_masks_match_the_inversion_recount():
     assert pairs == 30_729
 
 
+def test_rectangle_rule_matches_the_inversion_recount():
+    """On every expansion diagram of the corpus, a crossing's rectangle holds
+    no other strand exactly where its smoothing drops the inversion count by
+    one, and _resolutions yields the smoothings the recount keeps, in crossing
+    order and already sorted."""
+    diagrams = kept = 0
+    for _, ds in corpus_surfaces():
+        for k in range(ds.n_arcs + 1):
+            alg = Algebra.from_surface(ds, k)
+            for d in (d for exp in alg._expansions for d in exp):
+                inv, recount = alg.inversions(d), []
+                for (x, (p1, q1)), (y, (p2, q2)) in itertools.combinations(enumerate(d), 2):
+                    if not alg.inversions(((p1, q1), (p2, q2))):
+                        continue
+                    smoothing = list(d)
+                    smoothing[x], smoothing[y] = (p1, q2), (p2, q1)
+                    smoothing = tuple(sorted(smoothing))
+                    empty = not any(p1 < p < p2 and q2 < q < q1 for p, q in d)
+                    assert empty == (alg.inversions(smoothing) == inv - 1)
+                    if empty:
+                        recount.append(smoothing)
+                assert list(alg._resolutions(d)) == recount
+                diagrams += 1
+                kept += len(recount)
+    assert (diagrams, kept) == (8_577, 2_132)
+
+
 @pytest.mark.parametrize(
     "ds, k",
     [(TORUS, 1), (TORUS, 2), (dict(corpus_surfaces())["n3_split6_m14"], 2), (dict(corpus_surfaces())["onedisc_g2"], 3)],
@@ -489,13 +520,28 @@ def test_on_demand_products_match_the_filled_table(ds, k):
     assert {(i, j): p for i, row in enumerate(alg.products()) for j, p in row.items()} == filled
 
 
-def test_the_fill_keeps_an_entry_set_before_it():
-    alg = Algebra.from_surface(TORUS, 1)
-    i, j = _torus_element(alg, chords=[[0, 2]]), _torus_element(alg, chords=[[2, 3]])
-    alg._mul[i, j] = frozenset([i])
+def test_a_second_products_call_returns_the_stored_rows(monkeypatch):
+    alg = Algebra.from_surface(TORUS, 2)
     rows = alg.products()
-    assert alg._mul[i, j] == frozenset([i]) and rows[i][j] == frozenset([i])
-    assert Algebra.from_surface(TORUS, 1).products()[i][j] == frozenset([_torus_element(alg, chords=[[0, 3]])])
+    contract, calls = alg.contract, []
+    monkeypatch.setattr(alg, "contract", lambda diagrams: calls.append(1) or contract(diagrams))
+    assert alg.products() is rows is alg._rows
+    assert not calls
+
+
+def test_mul_basis_fills_only_the_row_of_a_composable_pair():
+    alg = Algebra.from_surface(TORUS, 1)
+    e0, e1 = alg.idempotent_index([0]), alg.idempotent_index([1])
+    assert not alg.mul_basis(e0, e1)
+    assert alg._rows == [None] * alg.dim
+    assert alg.mul_basis(e0, e0) == {e0}
+    assert [i for i, row in enumerate(alg._rows) if row is not None] == [e0]
+
+
+def test_the_table_stores_no_zero_entry():
+    for _, ds in corpus_surfaces():
+        for k in range(ds.n_arcs + 1):
+            assert all(all(row.values()) for row in Algebra.from_surface(ds, k).products())
 
 
 def test_check_algebra_rejects_a_foreign_algebra():
@@ -513,7 +559,7 @@ def test_check_algebra_rejects_an_unknown_law():
 def test_d2_alone_fills_no_product():
     alg = Algebra.from_surface(TORUS, 2)
     assert check_algebra(TORUS, 2, checks=("d2",), algebra=alg).ok
-    assert not alg._mul
+    assert alg._rows == [None] * alg.dim
 
 
 def test_a_sum_outside_the_matched_span_fails_each_law_that_meets_it(monkeypatch):
@@ -597,8 +643,8 @@ def _opposite_of(alg, monkeypatch):
 def test_corrupted_product_is_caught(k, left, right, witness, opposite, monkeypatch):
     alg = _filled_torus(k)
     i, j = _torus_element(alg, **left), _torus_element(alg, **right)
-    assert alg._mul[i, j]
-    alg._mul[i, j] ^= {min(alg._mul[i, j])}
+    assert alg._rows[i][j]
+    alg._rows[i][j] ^= {min(alg._rows[i][j])}
 
     rep = check_algebra(TORUS, k, algebra=alg)
     assert not (rep.laws["assoc"] and rep.laws["leibniz"])
@@ -682,8 +728,8 @@ def test_created_product_is_caught(k, left, right, product, witness):
     table under check."""
     alg = _filled_torus(k)
     i, j = _torus_element(alg, **left), _torus_element(alg, **right)
-    assert alg.basis[i].t == alg.basis[j].s and not alg._mul.get((i, j))
-    alg._mul[i, j] = frozenset([_torus_element(alg, **product)])
+    assert alg.basis[i].t == alg.basis[j].s and not alg._rows[i].get(j)
+    alg._rows[i][j] = frozenset([_torus_element(alg, **product)])
 
     rep = check_algebra(TORUS, k, algebra=alg)
     assert not rep.laws["assoc"]
@@ -706,15 +752,15 @@ def test_every_single_flip_matches_reference(k):
     for i, j in _all_pairs_scan(alg):
         kept = alg.mul_basis(i, j)
         for e in range(alg.dim):
-            alg._mul[i, j] = kept ^ {e}
+            alg._rows[i][j] = kept ^ {e}
             rep = check_algebra(TORUS, k, algebra=alg)
             assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
-        alg._mul[i, j] = kept
+        alg._rows[i][j] = kept
 
 
 def _lose_product_term(alg):
     i, j = _torus_element(alg, chords=[[0, 2]]), _torus_element(alg, chords=[[2, 3]])
-    alg._mul[i, j] ^= {min(alg._mul[i, j])}
+    alg._rows[i][j] ^= {min(alg._rows[i][j])}
 
 
 def _gain_differential_term(alg):
@@ -750,8 +796,8 @@ def test_created_summand_product_fails_consum_check(monkeypatch):
     visit the pairs where the summands' tables are nonzero."""
     alg = _filled_torus(1)
     i = _torus_element(alg, chords=[[0, 2]])
-    assert not alg._mul.get((i, i))
-    alg._mul[i, i] = frozenset([i])
+    assert not alg._rows[i].get(i)
+    alg._rows[i][i] = frozenset([i])
     _build_torus_as(alg, monkeypatch)
     assert consum_check(TORUS, DISC1, 1, verbose=True) == (
         False,
