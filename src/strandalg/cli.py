@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .acceptance import CRITERIA
 from .diagrams import (
-    analyze_diagram,
     cf_hat,
     euler_measure,
     maslov_index,
@@ -175,9 +174,7 @@ def _cmd_slide(args, report):
 
 
 def _cmd_hfhat(args, report):
-    d = parse_diagram(_read(report, args.diagram))
-    analyze_diagram(d)
-    c = cf_hat(d)
+    c = cf_hat(parse_diagram(_read(report, args.diagram)))
     report.results["generators"] = c.rank
     report.results["rank"] = c.homology_rank()
     if args.complex:

@@ -176,7 +176,7 @@ def solid_torus_typeA(alg: Algebra | None = None) -> TypeAModule:
     algebra acting by composition."""
     alg = alg or torus_algebra()
     c = lambda p, q: _chord(alg, p, q)
-    i0, i1 = frozenset([0]), frozenset([1])
+    i0, i1 = (0,), (1,)
     return TypeAModule(
         alg,
         ("u0", "c02", "c01", "c03", "c23"),
@@ -197,7 +197,7 @@ def filling_typeD(q: int, alg: Algebra | None = None) -> TypeDModule:
     """Type D model of the q-framed solid torus filling: one arc-0 generator
     feeding a chain of q arc-1 generators."""
     alg = alg or torus_algebra()
-    i0, i1 = frozenset([0]), frozenset([1])
+    i0, i1 = (0,), (1,)
     if q == 0:
         return TypeDModule(alg, ("v",), {"v": i0}, {"v": frozenset()})
     gens = ("v",) + tuple(f"w{i}" for i in range(1, q + 1))

@@ -175,16 +175,15 @@ class DiagramReport:
     region_sizes: tuple
 
 
-def analyze_diagram(d: ClosedDiagram, require_nice: bool = True) -> DiagramReport:
+def analyze_diagram(d: ClosedDiagram) -> DiagramReport:
     validate_diagram(d)
-    nice = is_nice(d)
-    if require_nice and not nice:
+    if not is_nice(d):
         raise DiagramError("not-nice", "non-nice region without basepoint")
     return DiagramReport(
         genus=d.genus,
         num_points=len(d.points),
         num_regions=len(d.regions),
-        nice=nice,
+        nice=True,
         region_sizes=tuple(len(r.corners) for r in d.regions),
     )
 
@@ -251,7 +250,7 @@ def _region_moves(d: ClosedDiagram, r: Region):
 def cf_hat(d: ClosedDiagram) -> ChainComplex:
     """The hat Floer complex of a nice diagram: empty embedded bigons and
     rectangles away from the basepoint."""
-    analyze_diagram(d, require_nice=True)
+    analyze_diagram(d)
     gens = enumerate_generators(d)
     index = {g: i for i, g in enumerate(gens)}
     gen_sets = [frozenset(g) for g in gens]

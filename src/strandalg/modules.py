@@ -7,6 +7,11 @@ differential algebra, so the validator only needs relations up to a finite
 input length.  The box tensor of a type A with a type D module is a finite
 GF(2) chain complex; the morphism complex of two type A modules is computed
 through a finite dual type D model (see mor_complex).
+
+A generator's idempotent is the algebra's own key for it: the sorted tuple of
+k distinct arcs that BasisElement.s and .t and Algebra.by_source use.  So a
+label a runs from generator x to y exactly where basis[a].s == idem[x] and
+basis[a].t == idem[y], with no conversion between the two sides.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ class ModuleFormatError(ValueError):
     """Malformed or rejected module data; ``code`` identifies the reason:
     ``syntax`` (not JSON, an unreadable file, or a missing or mistyped
     field), ``bad-descriptor`` (a basis descriptor that names no basis
-    element), ``invalid`` (unknown or duplicate generators, a wrong-size
+    element), ``invalid`` (unknown or duplicate generators, an idempotent
+    that is not k distinct arcs of the algebra, an entry that runs off an
     idempotent, an idempotent argument, an unknown type, a malformed surface
     or a bad k) or ``mismatch`` (modules over different algebras paired)."""
 
@@ -37,8 +43,11 @@ class ModuleFormatError(ValueError):
         self.code = code
 
 
-class IdempotentMismatch(ValueError):
-    pass
+class IdempotentMismatch(ModuleFormatError):
+    """An operation or delta entry runs off a generator's idempotent."""
+
+    def __init__(self, message: str):
+        super().__init__("invalid", message)
 
 
 class DepthExceeded(RuntimeError):
@@ -53,6 +62,12 @@ def _same_algebra(a: Algebra, b: Algebra) -> bool:
     return (a.interval_arcs, a.k, a.n_arcs) == (b.interval_arcs, b.k, b.n_arcs)
 
 
+def _check_idempotents(alg: Algebra, generators, idem: dict) -> None:
+    for x in generators:
+        if idem[x] not in alg.by_source:
+            raise ModuleFormatError("invalid", f"idempotent of {x!r} is not k={alg.k} distinct arcs of the algebra: {list(idem[x])}")
+
+
 @dataclass
 class TypeDModule:
     """delta maps each generator to a GF(2) sum of (algebra basis, generator)
@@ -64,13 +79,13 @@ class TypeDModule:
     delta: dict
 
     def __post_init__(self):
+        basis = self.algebra.basis
+        _check_idempotents(self.algebra, self.generators, self.idem)
         for x in self.generators:
-            if len(self.idem[x]) != self.algebra.k:
-                raise ModuleFormatError("invalid", f"idempotent of {x!r} has wrong size")
             for a, y in self.delta.get(x, frozenset()):
-                if self.algebra.source_idempotent(a) != self.idem[x]:
+                if basis[a].s != self.idem[x]:
                     raise IdempotentMismatch(f"delta entry of {x!r} starts off its idempotent")
-                if self.algebra.target_idempotent(a) != self.idem[y]:
+                if basis[a].t != self.idem[y]:
                     raise IdempotentMismatch(f"delta entry {x!r}->{y!r} ends off the target idempotent")
 
     def delta_of(self, x) -> frozenset:
@@ -89,21 +104,19 @@ class TypeAModule:
     ops: dict
 
     def __post_init__(self):
-        alg = self.algebra
-        for x in self.generators:
-            if len(self.idem[x]) != alg.k:
-                raise ModuleFormatError("invalid", f"idempotent of {x!r} has wrong size")
+        basis = self.algebra.basis
+        _check_idempotents(self.algebra, self.generators, self.idem)
         for (x, args), outs in self.ops.items():
             for a in args:
-                if alg.is_idempotent_index(a):
+                if basis[a].is_idempotent():
                     raise ModuleFormatError("invalid", "idempotent arguments are implicit (strict unitality)")
             if args:
-                if alg.source_idempotent(args[0]) != self.idem[x]:
+                if basis[args[0]].s != self.idem[x]:
                     raise IdempotentMismatch(f"operation on {x!r} starts off its idempotent")
                 for a, b in zip(args, args[1:]):
-                    if alg.target_idempotent(a) != alg.source_idempotent(b):
+                    if basis[a].t != basis[b].s:
                         raise IdempotentMismatch(f"operation on {x!r} has a non-composable argument chain")
-            tail = alg.target_idempotent(args[-1]) if args else self.idem[x]
+            tail = basis[args[-1]].t if args else self.idem[x]
             for y in outs:
                 if self.idem[y] != tail:
                     raise IdempotentMismatch(f"operation {x!r}->{y!r} lands off the idempotent")
@@ -115,9 +128,9 @@ class TypeAModule:
     def evaluate(self, x, args) -> frozenset:
         """m_{1+j}(x, args) on basis-element arguments, extended strictly
         unitally over idempotents."""
-        alg = self.algebra
-        if any(alg.is_idempotent_index(a) for a in args):
-            if len(args) == 1 and frozenset(alg.basis[args[0]].s) == self.idem[x]:
+        basis = self.algebra.basis
+        if any(basis[a].is_idempotent() for a in args):
+            if len(args) == 1 and basis[args[0]].s == self.idem[x]:
                 return frozenset([x])
             return frozenset()
         return self.ops.get((x, tuple(args)), frozenset())
@@ -170,13 +183,23 @@ def _basis_index(algebra: Algebra, n: int, desc) -> int:
         raise ModuleFormatError("bad-descriptor", f"operation {n}: bad descriptor {json.dumps(desc, default=repr)}: {e}") from e
 
 
+def _list(obj, key: str, where: str, default=None) -> list:
+    """The list obj[key] of a module file; default where the key is absent,
+    if one is given."""
+    value = _field(obj, key, where) if default is None else obj.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ModuleFormatError("syntax", f"{where}: field {key!r} is not a list")
+    return value
+
+
 def _check_ends(n: int, op: dict, idem: dict) -> None:
     """Operation n must run between declared generators."""
     for end in ("from", "to"):
-        if op.get(end) not in idem:
-            raise ModuleFormatError(
-                "invalid", f"operation {n} ({op.get('from')!r} -> {op.get('to')!r}): unknown generator {op.get(end)!r}"
-            )
+        g = _field(op, end, f"operation {n}")
+        if not isinstance(g, str):
+            raise ModuleFormatError("syntax", f"operation {n}: field {end!r} is not a generator name: {g!r}")
+        if g not in idem:
+            raise ModuleFormatError("invalid", f"operation {n} ({op['from']!r} -> {op.get('to')!r}): unknown generator {g!r}")
 
 
 def load_module(source, algebra: Algebra | None = None, base_dir=None):
@@ -202,12 +225,14 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
 
     gens = []
     idem = {}
-    for n, g in enumerate(_field(data, "generators", "module")):
+    for n, g in enumerate(_list(data, "generators", "module")):
         name = _field(g, "name", f"generator {n}")
+        if not isinstance(name, str):
+            raise ModuleFormatError("syntax", f"generator {n}: field 'name' is not a string: {name!r}")
         gens.append(name)
         arcs = _field(g, "idempotent", f"generator {n}")
         try:
-            idem[name] = frozenset(_as_int(a) for a in arcs)
+            idem[name] = tuple(sorted(map(_as_int, arcs)))
         except TypeError as e:
             raise ModuleFormatError("syntax", f"generator {n}: field 'idempotent' is not a list of arcs: {arcs!r}") from e
     if len(set(gens)) != len(gens):
@@ -215,7 +240,7 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
 
     if kind == "D":
         delta: dict = {g: set() for g in gens}
-        for n, op in enumerate(data.get("operations", ())):
+        for n, op in enumerate(_list(data, "operations", "module", ())):
             desc = _field(op, "alg", f"operation {n}")
             _check_ends(n, op, idem)
             if not isinstance(desc, dict):
@@ -224,7 +249,7 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
         return TypeDModule(algebra, tuple(gens), idem, {g: frozenset(v) for g, v in delta.items()})
     if kind == "A":
         ops: dict = {}
-        for n, op in enumerate(data.get("operations", ())):
+        for n, op in enumerate(_list(data, "operations", "module", ())):
             descs = _field(op, "alg", f"operation {n}")
             _check_ends(n, op, idem)
             if not isinstance(descs, (list, tuple)):
@@ -242,7 +267,7 @@ def dump_module(m, algebra_ref: dict) -> dict:
     data = {
         "algebra": algebra_ref,
         "generators": [
-            {"name": g, "idempotent": sorted(m.idem[g])} for g in m.generators
+            {"name": g, "idempotent": list(m.idem[g])} for g in m.generators
         ],
     }
     if isinstance(m, TypeDModule):
@@ -299,13 +324,13 @@ def _relation_terms(m: TypeAModule, x, args):
     r = len(args)
     for i in range(r + 1):
         for y in m.evaluate(x, args[:i]):
-            acc ^= {(y2,) for y2 in m.evaluate(y, args[i:])}
+            acc ^= m.evaluate(y, args[i:])
     for i in range(r):
         for b in alg.diff_basis(args[i]):
-            acc ^= {(y,) for y in m.evaluate(x, args[:i] + (b,) + args[i + 1 :])}
+            acc ^= m.evaluate(x, args[:i] + (b,) + args[i + 1 :])
     for i in range(r - 1):
         for c in alg.mul_basis(args[i], args[i + 1]):
-            acc ^= {(y,) for y in m.evaluate(x, args[:i] + (c,) + args[i + 2 :])}
+            acc ^= m.evaluate(x, args[:i] + (c,) + args[i + 2 :])
     return acc
 
 
@@ -331,7 +356,7 @@ def check_typeA(m: TypeAModule, max_inputs: int | None = None) -> ModuleCheckRep
     failures = []
     for r in range(depth + 1):
         for x in m.generators:
-            for args in _composable_chains(alg, tuple(sorted(m.idem[x])), r):
+            for args in _composable_chains(alg, m.idem[x], r):
                 res = _relation_terms(m, x, args)
                 if res:
                     failures.append(f"relation fails on ({x!r}, {args}): residue {sorted(res)}")
@@ -344,15 +369,14 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
     """The algebra as a right module over itself (m1 = differential,
     m2 = product)."""
     gens = tuple(f"b{i}" for i in range(alg.dim))
-    idem = {f"b{i}": alg.target_idempotent(i) for i in range(alg.dim)}
+    idem = {f"b{i}": b.t for i, b in enumerate(alg.basis)}
     ops: dict = {}
-    aplus = frozenset(alg.nonidempotent_indices())
     for i, row in enumerate(alg.products()):
         d = alg.diff_basis(i)
         if d:
             ops[(f"b{i}", ())] = frozenset(f"b{j}" for j in d)
         for a, out in row.items():
-            if a in aplus:
+            if not alg.basis[a].is_idempotent():
                 ops[(f"b{i}", (a,))] = frozenset(f"b{j}" for j in out)
     return TypeAModule(alg, gens, idem, ops)
 
@@ -363,12 +387,13 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
 
 def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
     """Box tensor product: generators are idempotent-matched pairs, the
-    differential feeds iterated delta chains of the type D side into the
-    type A actions.  Iteration truncates at j_max; if MAX_DEPTH is hit
-    first, DepthExceeded is raised."""
+    differential feeds the delta chains of the type D side, of length 0 to
+    max(j_max, 1), into the type A actions.  Chains of length 1 count even
+    where the type A side has no action, since an idempotent-labelled arrow
+    acts by the unit.  If MAX_DEPTH is hit first, DepthExceeded is raised."""
     if not _same_algebra(m.algebra, n.algebra):
         raise ModuleFormatError("mismatch", "box tensor of modules over different algebras")
-    jmax = m.j_max
+    depth = max(m.j_max, 1)
 
     pairs = [
         (x, y) for x in m.generators for y in n.generators if m.idem[x] == n.idem[y]
@@ -377,26 +402,18 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
 
     diff = []
     for x, y in pairs:
-        acc: set = set()
-        for x2 in m.evaluate(x, ()):
-            acc ^= {(x2, y)}
-        chains = [((), y)]
-        j = 0
-        while chains and j < jmax:
+        mask = 0
+        chains, j = [((), y)], 0
+        while chains:
+            for args, yy in chains:
+                for x2 in m.evaluate(x, args):
+                    mask ^= 1 << index[x2, yy]
+            if j == depth:
+                break
             j += 1
             if j > MAX_DEPTH:
                 raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
-            nxt = []
-            for args, yy in chains:
-                for a, y2 in n.delta_of(yy):
-                    nxt.append((args + (a,), y2))
-            chains = nxt
-            for args, yy in chains:
-                for x2 in m.evaluate(x, args):
-                    acc ^= {(x2, yy)}
-        mask = 0
-        for p in acc:
-            mask ^= 1 << index[p]
+            chains = [(args + (a,), y2) for args, yy in chains for a, y2 in n.delta_of(yy)]
         diff.append(mask)
 
     labels = tuple(f"{x}|{y}" for x, y in pairs)
@@ -412,13 +429,8 @@ def dual_type_d(m: TypeAModule) -> TypeDModule:
     alg = m.algebra
     delta: dict = {g: set() for g in m.generators}
     for (x, args), outs in m.ops.items():
-        if len(args) == 0:
-            lab = alg.idempotent_index(m.idem[x])
-            for y in outs:
-                delta[x] ^= {(lab, y)}
-        else:
-            for y in outs:
-                delta[x] ^= {(args[0], y)}
+        lab = args[0] if args else alg.idempotent_index(m.idem[x])
+        delta[x] ^= {(lab, y) for y in outs}
     return TypeDModule(alg, m.generators, dict(m.idem), {g: frozenset(v) for g, v in delta.items()})
 
 
@@ -426,7 +438,7 @@ def nilpotence_order(alg: Algebra) -> int:
     """Smallest j such that all j-fold products of non-idempotent basis
     elements vanish; raises TruncationUnsound if there is none."""
     rows = alg.products()
-    aplus = frozenset(alg.nonidempotent_indices())
+    aplus = frozenset(i for i, b in enumerate(alg.basis) if not b.is_idempotent())
     cur = aplus
     j = 1
     while cur:

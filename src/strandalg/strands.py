@@ -315,30 +315,30 @@ class Algebra:
 
     def _fill_row(self, i: int) -> dict[int, frozenset]:
         """Fill row i of the table with a_i * a_j wherever a diagram of a_i
-        composes with one of a_j and the product is nonzero, and return it.
-        Where contract raises, the row stays unfilled.
+        composes with one of a_j, and return it.  Where contract raises, the
+        row stays unfilled.
 
         The middle positions of a composition are distinct, so its inversion
         count is the sum of its factors' counts less twice the strand pairs
         crossing in both: the inversion counts add exactly where the two
         crossing masks over the middle positions are disjoint.  The starts of
-        a left diagram are sorted, so each composition is too."""
+        a left diagram are sorted, so each composition is too.  No diagram
+        is composed twice: a composition keeps its left diagram's starts, two
+        diagrams of a_i differ in a marker's start, and distinct right
+        diagrams give distinct step maps.  So each entry collects a plain
+        list and no entry sums to zero."""
         if self._starting_at is None:
             self._starting_at = {}
             for j, exp in enumerate(self._expansions):
                 for d in exp:
                     self._starting_at.setdefault(sum(1 << p for p, _ in d), []).append((j, dict(d), self._crossings(d, 0)))
-        acc: dict[int, set] = {}
+        acc: dict[int, list] = {}
         for d in self._expansions[i]:
             starts, ends, left = tuple(p for p, _ in d), tuple(q for _, q in d), self._crossings(d, 1)
             for j, step, right in self._starting_at.get(sum(1 << q for q in ends), ()):
                 if not left & right:
-                    comp = tuple(zip(starts, map(step.__getitem__, ends)))
-                    if (terms := acc.get(j)) is None:
-                        acc[j] = {comp}
-                    else:
-                        terms ^= {comp}
-        row = {j: p for j in sorted(acc) if (p := self.contract(acc[j]))}
+                    acc.setdefault(j, []).append(tuple(zip(starts, map(step.__getitem__, ends))))
+        row = {j: self.contract(acc[j]) for j in sorted(acc)}
         self._rows[i] = row
         return row
 
@@ -364,20 +364,8 @@ class Algebra:
                 acc ^= self.mul_basis(i, j)
         return acc
 
-    def source_idempotent(self, i: int) -> frozenset:
-        return frozenset(self.basis[i].s)
-
-    def target_idempotent(self, i: int) -> frozenset:
-        return frozenset(self.basis[i].t)
-
     def idempotent_index(self, arcs) -> int:
         return self.index[_basis_element({a: a for a in arcs}, dict.fromkeys(arcs))]
-
-    def is_idempotent_index(self, i: int) -> bool:
-        return self.basis[i].is_idempotent()
-
-    def nonidempotent_indices(self) -> list[int]:
-        return [i for i in range(self.dim) if not self.basis[i].is_idempotent()]
 
     # -- dumps ---------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strandalg.corpus import (
     data_dir,
@@ -38,7 +39,7 @@ from strandalg.modules import (
 from strandalg.strands import Algebra, opposite_algebra_map
 
 ALG = torus_algebra()
-I0, I1 = frozenset([0]), frozenset([1])
+I0, I1 = (0,), (1,)
 
 
 def chord(p, q, alg=ALG):
@@ -189,7 +190,7 @@ def test_box_ranks_match_closed_engine():
 
 def test_box_requires_same_algebra():
     other = Algebra.from_surface(disc_with_arc(), 1)
-    m = TypeAModule(other, ("x",), {"x": frozenset([0])}, {})
+    m = TypeAModule(other, ("x",), {"x": (0,)}, {})
     n = TypeDModule(ALG, ("v",), {"v": I0}, {"v": frozenset()})
     with pytest.raises(ModuleFormatError, match="box tensor of modules over different algebras") as e:
         box_tensor(m, n)
@@ -215,13 +216,26 @@ def test_box_depth_exceeded():
     assert box_tensor(*_looping_pair(MAX_DEPTH)).rank == 2
 
 
+def test_box_counts_unit_arrows_without_actions():
+    # N has no action (j_max == 0), yet an idempotent-labelled delta arrow
+    # still pairs with it through the unit
+    n_a = TypeAModule(ALG, ("u",), {"u": I0}, {})
+    unit = ALG.idempotent_index(I0)
+    d = TypeDModule(ALG, ("v", "w"), {"v": I0, "w": I0}, {"v": frozenset([(unit, "w")])})
+    assert check_typeD(d).ok
+    assert box_tensor(n_a, d).homology_rank() == 0
+    # M = (x -> y) is acyclic, so Mor(M, N) is too
+    m_a = TypeAModule(ALG, ("x", "y"), {"x": I0, "y": I0}, {("x", ()): frozenset(["y"])})
+    assert mor_complex(m_a, n_a).homology_rank() == 0
+
+
 # ---------------------------------------------------------------------------
 # morphism complex
 
 
 def test_mor_unit_algebra():
     disc_alg = Algebra.from_surface(torus_decoration(), 0)
-    m = TypeAModule(disc_alg, ("x",), {"x": frozenset()}, {})
+    m = TypeAModule(disc_alg, ("x",), {"x": ()}, {})
     c = mor_complex(m, m)
     assert c.rank == 1 and c.homology_rank() == 1
 
@@ -358,20 +372,41 @@ def test_unknown_generator_is_a_format_error(kind, end):
     assert e.value.code == "invalid"
 
 
+def _load_edited(edit):
+    """Load the solid-torus module after edit(data) on its dumped file."""
+    data = dump_module(solid_torus_typeA(), {})
+    edit(data)
+    return load_module(data, algebra=ALG)
+
+
 @pytest.mark.parametrize(
     "build, code, message",
     [
         (lambda: load_module({**dump_module(solid_torus_typeA(), {}), "type": "B"}, algebra=ALG),
          "invalid", "unknown module type 'B'"),
+        (lambda: _load_edited(lambda d: d["generators"][0].update(idempotent=[1])),
+         "invalid", "operation on 'u0' starts off its idempotent"),
+        (lambda: _load_edited(lambda d: d["generators"][0].update(idempotent=[0, 0])),
+         "invalid", "idempotent of 'u0' is not k=1 distinct arcs of the algebra: [0, 0]"),
+        (lambda: _load_edited(lambda d: d["generators"][0].update(idempotent=[7])),
+         "invalid", "idempotent of 'u0' is not k=1 distinct arcs of the algebra: [7]"),
+        (lambda: _load_edited(lambda d: d.update(generators=5)), "syntax", "module: field 'generators' is not a list"),
+        (lambda: _load_edited(lambda d: d.update(operations=5)), "syntax", "module: field 'operations' is not a list"),
+        (lambda: _load_edited(lambda d: d["operations"][0].update({"from": ["x"]})),
+         "syntax", "operation 0: field 'from' is not a generator name: ['x']"),
+        (lambda: _load_edited(lambda d: d["generators"][0].update(name=["u0"])),
+         "syntax", "generator 0: field 'name' is not a string: ['u0']"),
         (lambda: load_module({"type": "A", "generators": [{"name": "x", "idempotent": [0]}] * 2}, algebra=ALG),
          "invalid", "duplicate generator names"),
-        (lambda: TypeAModule(ALG, ("x",), {"x": frozenset()}, {}), "invalid", "idempotent of 'x' has wrong size"),
+        (lambda: TypeAModule(ALG, ("x",), {"x": ()}, {}), "invalid",
+         "idempotent of 'x' is not k=1 distinct arcs of the algebra: []"),
         (lambda: TypeAModule(ALG, ("x",), {"x": I0}, {("x", (ALG.idempotent_index([0]),)): frozenset("x")}),
          "invalid", "idempotent arguments are implicit"),
         (lambda: mor_complex(solid_torus_typeA(), algebra_as_module(Algebra.from_surface(disc_with_arc(), 1))),
          "mismatch", "morphism complex of modules over different algebras"),
     ],
-    ids=["type", "duplicate", "idempotent-size", "idempotent-argument", "mor-mismatch"],
+    ids=["type", "off-idempotent", "idempotent-repeat", "idempotent-range", "generators-int", "operations-int",
+         "from-list", "name-list", "duplicate", "idempotent-size", "idempotent-argument", "mor-mismatch"],
 )
 def test_module_error_codes(build, code, message):
     with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:
@@ -456,3 +491,52 @@ def test_malformed_module_is_a_format_error(name, edit, code, message, tmp_path)
         assert e.value.code == code
         # every error but a wrong-typed 'alg' field is chained from its cause
         assert (e.value.__cause__ is None) == ("field 'alg' is not a" in message)
+
+
+MODULE_FILES = {f.name: json.loads(f.read_text()) for f in sorted((data_dir() / "modules").glob("*.json"))}
+
+# JSON values a mutation writes: junk, and values that look like the fields
+# they replace (generator names, arcs, positions, descriptors)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False) | st.sampled_from(["u0", "w1", "v", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["chords", "markers", "name", "k"]), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _json_nodes(value, path=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_nodes(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(MODULE_FILES)), st.integers(0), st.sampled_from(["replace", "delete", "repeat"]), _JSON_VALUES)
+def test_mutated_module_files_load_or_raise_a_format_error(name, pick, action, value):
+    data = json.loads(json.dumps(MODULE_FILES[name]))
+    nodes = list(_json_nodes(data))
+    *parent_path, key = nodes[pick % len(nodes)]
+    parent = data
+    for step in parent_path:
+        parent = parent[step]
+    if action == "replace":
+        parent[key] = value
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    try:
+        m = load_module(data, base_dir=data_dir() / "modules")
+    except ModuleFormatError:
+        return
+    # dump∘load is the identity on every file it writes
+    dumped = json.loads(json.dumps(dump_module(m, data["algebra"])))
+    assert dump_module(load_module(dumped, base_dir=data_dir() / "modules"), data["algebra"]) == dumped
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_FILES))
+def test_bundled_module_files_are_dump_load_fixed_points(name):
+    data = MODULE_FILES[name]
+    assert dump_module(load_module(data, base_dir=data_dir() / "modules"), data["algebra"]) == data
