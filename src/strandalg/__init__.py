@@ -27,6 +27,7 @@ from .homalg import (
     mapping_cone,
     zero_complex,
 )
+from .inputs import InputError
 from .modules import (
     DepthExceeded,
     IdempotentMismatch,

@@ -3,6 +3,8 @@
 Every subcommand produces a RunReport; ``--json`` writes it to a file as
 canonical JSON (sorted keys, no timing) so identical inputs give
 byte-identical reports.  Exit status is 0 iff every requested check passed.
+An exception becomes one failed ``error`` check whose detail names its class,
+so a rejected input names its InputError subclass.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .diagrams import (
     parse_diagram,
     parse_domain,
 )
+from .inputs import InputError
 from .modules import (
     TypeDModule,
     box_tensor,
@@ -88,13 +91,14 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _hash_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _read(report: RunReport, path) -> str:
-    report.inputs[str(path)] = _hash_file(path)
-    return Path(path).read_text()
+    """The text of an input file, its hash recorded in the report."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as e:
+        raise InputError("syntax", f"cannot read {path}: {e.strerror}") from e
+    report.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    return data.decode()
 
 
 def _load_surface(report, path):
@@ -102,7 +106,7 @@ def _load_surface(report, path):
 
 
 def _module_with_inputs(report, path):
-    report.inputs[str(path)] = _hash_file(path)
+    _read(report, path)
     return load_module(path)
 
 

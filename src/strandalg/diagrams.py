@@ -14,23 +14,20 @@ squares ("nice"), which makes the differential a finite count.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .homalg import ChainComplex
+from .inputs import InputError, as_int
 
 
-class DiagramError(ValueError):
+class DiagramError(InputError):
     """Malformed or rejected diagram or domain data; ``code`` identifies the
     reason: ``syntax`` (the JSON is not shaped like a diagram or domain),
     ``invalid`` (the diagram does not close up into a surface), ``not-nice``
     (a region without basepoint is neither a bigon nor a square) or
-    ``bad-domain`` (the domain does not fit the diagram)."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+    ``bad-domain`` (the domain does not fit the diagram, or the index
+    formula's level count or k is out of range)."""
 
 
 @dataclass(frozen=True)
@@ -47,70 +44,31 @@ class ClosedDiagram:
     regions: tuple[Region, ...]
 
 
-def _get(obj, key: str, where: str, default=None):
-    if not isinstance(obj, dict):
-        raise DiagramError("syntax", f"{where} is not an object")
-    if key not in obj:
-        if default is None:
-            raise DiagramError("syntax", f"{where} lacks field {key!r}")
-        return default
-    return obj[key]
-
-
-def _as_int(value) -> int:
-    """A JSON integer as an int; TypeError for any other value, bools too."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a boolean")
-    return operator.index(value)
-
-
-def _int(obj, key: str, where: str, default=None) -> int:
-    value = _get(obj, key, where, default)
-    try:
-        return _as_int(value)
-    except TypeError as e:
-        raise DiagramError("syntax", f"{where}: field {key!r} is not an integer: {value!r}") from e
-
-
-def _list(obj, key: str, where: str) -> list:
-    value = _get(obj, key, where)
-    if not isinstance(value, list):
-        raise DiagramError("syntax", f"{where}: field {key!r} is not a list")
-    return value
-
-
 def _corner(c, where: str) -> tuple[int, int]:
     try:
         p, q = c
-        return _as_int(p), _as_int(q)
+        return as_int(p), as_int(q)
     except (TypeError, ValueError) as e:
         raise DiagramError("syntax", f"{where}: field 'corners' holds {c!r}, not a pair of integers") from e
-
-
-def _json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise DiagramError("syntax", f"not valid JSON: {e}") from e
 
 
 def parse_diagram(text: str) -> ClosedDiagram:
     """Parse and validate a diagram; malformed input raises DiagramError
     naming the offending field."""
-    data = _json(text)
+    data = DiagramError.json(text)
     points = tuple(
-        (_int(p, "alpha", f"point {n}"), _int(p, "beta", f"point {n}"))
-        for n, p in enumerate(_list(data, "points", "diagram"))
+        (DiagramError.int_field(p, "alpha", f"point {n}"), DiagramError.int_field(p, "beta", f"point {n}"))
+        for n, p in enumerate(DiagramError.list_field(data, "points", "diagram"))
     )
     regions = tuple(
         Region(
-            corners=tuple(_corner(c, f"region {n}") for c in _list(r, "corners", f"region {n}")),
-            has_z=bool(_get(r, "has_z", f"region {n}", False)),
-            genus=_int(r, "genus", f"region {n}", 0),
+            corners=tuple(_corner(c, f"region {n}") for c in DiagramError.list_field(r, "corners", f"region {n}")),
+            has_z=DiagramError.bool_field(r, "has_z", f"region {n}", False),
+            genus=DiagramError.int_field(r, "genus", f"region {n}", 0),
         )
-        for n, r in enumerate(_list(data, "regions", "diagram"))
+        for n, r in enumerate(DiagramError.list_field(data, "regions", "diagram"))
     )
-    d = ClosedDiagram(_int(data, "genus", "diagram"), points, regions)
+    d = ClosedDiagram(DiagramError.int_field(data, "genus", "diagram"), points, regions)
     validate_diagram(d)
     return d
 
@@ -171,7 +129,6 @@ class DiagramReport:
     genus: int
     num_points: int
     num_regions: int
-    nice: bool
     region_sizes: tuple
 
 
@@ -183,7 +140,6 @@ def analyze_diagram(d: ClosedDiagram) -> DiagramReport:
         genus=d.genus,
         num_points=len(d.points),
         num_regions=len(d.regions),
-        nice=True,
         region_sizes=tuple(len(r.corners) for r in d.regions),
     )
 
@@ -295,16 +251,16 @@ class DiagramDomain:
 def parse_domain(text: str) -> DiagramDomain:
     """Parse a domain; malformed input raises DiagramError naming the
     offending field."""
-    data = _json(text)
-    values = _list(data, "multiplicities", "domain")
+    data = DiagramError.json(text)
+    values = DiagramError.list_field(data, "multiplicities", "domain")
     try:
-        multiplicities = tuple(_as_int(v) for v in values)
+        multiplicities = tuple(as_int(v) for v in values)
     except TypeError as e:
         raise DiagramError("syntax", f"domain: field 'multiplicities' holds a non-integer: {values!r}") from e
     return DiagramDomain(
         multiplicities=multiplicities,
-        levels=_int(data, "levels", "domain", 1),
-        k=_int(data, "k", "domain", 0),
+        levels=DiagramError.int_field(data, "levels", "domain", 1),
+        k=DiagramError.int_field(data, "k", "domain", 0),
     )
 
 
@@ -327,7 +283,7 @@ def maslov_index(i_phi: int, e: Fraction, levels: int, k: int) -> Fraction:
     """mu = i + 2e - (levels - 1) k / 2; the diagonal intersection number is
     supplied by the caller."""
     if levels < 1:
-        raise ValueError("levels must be >= 1")
+        raise DiagramError("bad-domain", "levels must be >= 1")
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise DiagramError("bad-domain", "k must be >= 0")
     return Fraction(i_phi) + 2 * Fraction(e) - Fraction((levels - 1) * k, 2)

@@ -20,8 +20,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .diagrams import _as_int
 from .homalg import ChainComplex
+from .inputs import InputError, as_int
 from .strands import Algebra
 from .surface import SurfaceError, parse_surface
 
@@ -29,7 +29,7 @@ from .surface import SurfaceError, parse_surface
 MAX_DEPTH = 64
 
 
-class ModuleFormatError(ValueError):
+class ModuleFormatError(InputError):
     """Malformed or rejected module data; ``code`` identifies the reason:
     ``syntax`` (not JSON, an unreadable file, or a missing or mistyped
     field), ``bad-descriptor`` (a basis descriptor that names no basis
@@ -37,10 +37,6 @@ class ModuleFormatError(ValueError):
     that is not k distinct arcs of the algebra, an entry that runs off an
     idempotent, an idempotent argument, an unknown type, a malformed surface
     or a bad k) or ``mismatch`` (modules over different algebras paired)."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 class IdempotentMismatch(ModuleFormatError):
@@ -140,18 +136,8 @@ class TypeAModule:
 # file format
 
 
-def _field(obj, key: str, where: str):
-    """obj[key] of a module file, or ModuleFormatError naming the field."""
-    if not isinstance(obj, dict):
-        raise ModuleFormatError("syntax", f"{where} is not an object")
-    try:
-        return obj[key]
-    except KeyError as e:
-        raise ModuleFormatError("syntax", f"{where} lacks field {key!r}") from e
-
-
 def _load_algebra(ref, base_dir) -> Algebra:
-    surf = _field(ref, "surface", "algebra")
+    surf = ModuleFormatError.field(ref, "surface", "algebra")
     if isinstance(surf, str):
         path = Path(base_dir or ".") / surf
         try:
@@ -164,13 +150,9 @@ def _load_algebra(ref, base_dir) -> Algebra:
         ds = parse_surface(text)
     except SurfaceError as e:
         raise ModuleFormatError("invalid", f"algebra: field 'surface' is invalid: {e}") from e
-    k = _field(ref, "k", "algebra")
+    k = ModuleFormatError.int_field(ref, "k", "algebra")
     try:
-        k_int = _as_int(k)
-    except TypeError as e:
-        raise ModuleFormatError("syntax", f"algebra: field 'k' is not an integer: {k!r}") from e
-    try:
-        return Algebra.from_surface(ds, k_int)
+        return Algebra.from_surface(ds, k)
     except ValueError as e:
         raise ModuleFormatError("invalid", f"algebra: field 'k' = {k!r} is invalid: {e}") from e
 
@@ -183,19 +165,10 @@ def _basis_index(algebra: Algebra, n: int, desc) -> int:
         raise ModuleFormatError("bad-descriptor", f"operation {n}: bad descriptor {json.dumps(desc, default=repr)}: {e}") from e
 
 
-def _list(obj, key: str, where: str, default=None) -> list:
-    """The list obj[key] of a module file; default where the key is absent,
-    if one is given."""
-    value = _field(obj, key, where) if default is None else obj.get(key, default)
-    if not isinstance(value, (list, tuple)):
-        raise ModuleFormatError("syntax", f"{where}: field {key!r} is not a list")
-    return value
-
-
 def _check_ends(n: int, op: dict, idem: dict) -> None:
     """Operation n must run between declared generators."""
     for end in ("from", "to"):
-        g = _field(op, end, f"operation {n}")
+        g = ModuleFormatError.field(op, end, f"operation {n}")
         if not isinstance(g, str):
             raise ModuleFormatError("syntax", f"operation {n}: field {end!r} is not a generator name: {g!r}")
         if g not in idem:
@@ -213,26 +186,23 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
             except OSError as e:
                 raise ModuleFormatError("syntax", f"module: cannot read {path}: {e.strerror}") from e
             base_dir = base_dir or path.parent
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ModuleFormatError("syntax", f"module is not valid JSON: {e}") from e
+        data = ModuleFormatError.json(text, "module is ")
     else:
         data = source
-    kind = _field(data, "type", "module")
+    kind = ModuleFormatError.field(data, "type", "module")
     if algebra is None:
-        algebra = _load_algebra(_field(data, "algebra", "module"), base_dir)
+        algebra = _load_algebra(ModuleFormatError.field(data, "algebra", "module"), base_dir)
 
     gens = []
     idem = {}
-    for n, g in enumerate(_list(data, "generators", "module")):
-        name = _field(g, "name", f"generator {n}")
+    for n, g in enumerate(ModuleFormatError.list_field(data, "generators", "module")):
+        name = ModuleFormatError.field(g, "name", f"generator {n}")
         if not isinstance(name, str):
             raise ModuleFormatError("syntax", f"generator {n}: field 'name' is not a string: {name!r}")
         gens.append(name)
-        arcs = _field(g, "idempotent", f"generator {n}")
+        arcs = ModuleFormatError.field(g, "idempotent", f"generator {n}")
         try:
-            idem[name] = tuple(sorted(map(_as_int, arcs)))
+            idem[name] = tuple(sorted(map(as_int, arcs)))
         except TypeError as e:
             raise ModuleFormatError("syntax", f"generator {n}: field 'idempotent' is not a list of arcs: {arcs!r}") from e
     if len(set(gens)) != len(gens):
@@ -240,20 +210,18 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
 
     if kind == "D":
         delta: dict = {g: set() for g in gens}
-        for n, op in enumerate(_list(data, "operations", "module", ())):
-            desc = _field(op, "alg", f"operation {n}")
+        for n, op in enumerate(ModuleFormatError.list_field(data, "operations", "module", ())):
             _check_ends(n, op, idem)
+            desc = ModuleFormatError.field(op, "alg", f"operation {n}")
             if not isinstance(desc, dict):
                 raise ModuleFormatError("syntax", f"operation {n}: field 'alg' is not an object")
             delta[op["from"]] ^= {(_basis_index(algebra, n, desc), op["to"])}
         return TypeDModule(algebra, tuple(gens), idem, {g: frozenset(v) for g, v in delta.items()})
     if kind == "A":
         ops: dict = {}
-        for n, op in enumerate(_list(data, "operations", "module", ())):
-            descs = _field(op, "alg", f"operation {n}")
+        for n, op in enumerate(ModuleFormatError.list_field(data, "operations", "module", ())):
             _check_ends(n, op, idem)
-            if not isinstance(descs, (list, tuple)):
-                raise ModuleFormatError("syntax", f"operation {n}: field 'alg' is not a list")
+            descs = ModuleFormatError.list_field(op, "alg", f"operation {n}")
             args = [_basis_index(algebra, n, desc) for desc in descs]
             key = (op["from"], tuple(args))
             ops[key] = ops.get(key, frozenset()) ^ {op["to"]}

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
-from .diagrams import _as_int
+from .inputs import InputError, as_int
 from .surface import DecoratedSurface, boundary_connected_sum, reverse_orientation
 
 
@@ -79,11 +79,12 @@ class Algebra:
     """The algebra attached to an interval structure, a matching, and k."""
 
     def __init__(self, interval_arcs, k: int):
-        """interval_arcs: per interval, the arc index at each position."""
+        """interval_arcs: per interval, the arc index at each position.  A k
+        outside 0..n_arcs raises InputError with code ``bad-k``."""
         self.interval_arcs = tuple(tuple(iv) for iv in interval_arcs)
         self.n_arcs = max((a + 1 for iv in self.interval_arcs for a in iv), default=0)
         if not 0 <= k <= self.n_arcs:
-            raise ValueError(f"k={k} out of range for {self.n_arcs} arcs")
+            raise InputError("bad-k", f"k={k} out of range for {self.n_arcs} arcs")
         self.k = k
 
         self.pos_interval: list[int] = []
@@ -168,7 +169,7 @@ class Algebra:
         index of a basis element; positions and arcs are JSON integers."""
         f_map, assign_map = {}, {}
         for p, q in desc.get("chords", ()):
-            p, q = _as_int(p), _as_int(q)
+            p, q = as_int(p), as_int(q)
             if not (0 <= p < self.n_positions and 0 <= q < self.n_positions):
                 raise ValueError(f"position out of range in chord ({p},{q})")
             i, j = self.pos_arc[p], self.pos_arc[q]
@@ -178,7 +179,7 @@ class Algebra:
                 raise ValueError(f"two chords start on arc {i}")
             f_map[i] = j
             assign_map[i] = (p, q)
-        for a in map(_as_int, desc.get("markers", ())):
+        for a in map(as_int, desc.get("markers", ())):
             if a in assign_map and assign_map[a] is None:
                 raise ValueError(f"arc {a} marked twice")
             if a in assign_map:
@@ -504,7 +505,7 @@ def _idempotents(alg: Algebra, rows) -> list[str]:
     failures = []
     idems = alg.idempotents()
     for a, b in itertools.product(idems, idems):
-        if residue := alg.mul_basis(a, b) ^ (frozenset([a]) if a == b else _ZERO):
+        if residue := rows[a].get(b, _ZERO) ^ (frozenset([a]) if a == b else _ZERO):
             failures.append(
                 f"idempotent orthogonality fails on ({alg.describe(a)}, {alg.describe(b)}): "
                 f"residue {alg.describe_sum(residue)}"
@@ -514,16 +515,16 @@ def _idempotents(alg: Algebra, rows) -> list[str]:
     idem_of = {s: alg.idempotent_index(s) for s in alg.by_source}
     for i, b in enumerate(alg.basis):
         one = frozenset([i])
-        if residue := (alg.mul_basis(idem_of[b.s], i) ^ one) or (alg.mul_basis(i, idem_of[b.t]) ^ one):
+        if residue := (rows[idem_of[b.s]].get(i, _ZERO) ^ one) or (rows[i].get(idem_of[b.t], _ZERO) ^ one):
             failures.append(f"unit law fails on {alg.describe(i)}: residue {alg.describe_sum(residue)}")
             break
-    if len(idems) != comb(alg.n_arcs, alg.k):
+    if sum(b.is_idempotent() for b in alg.basis) != comb(alg.n_arcs, alg.k):
         failures.append("idempotent count differs from C(n, k)")
     return failures
 
 
 LAWS = {"closure": None, "d2": _d2, "leibniz": _leibniz, "assoc": _assoc, "idempotents": _idempotents}
-_ROW_LAWS = ("closure", "leibniz", "assoc")  # the laws that read the product rows
+_ROW_LAWS = ("closure", "leibniz", "assoc", "idempotents")  # the laws that read the product rows
 
 
 def check_algebra(ds: DecoratedSurface, k: int, checks=tuple(LAWS), algebra: Algebra | None = None) -> AlgebraCheckReport:

@@ -17,15 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .inputs import InputError
+
 Z = "z"
 
 
-class SurfaceError(ValueError):
+class SurfaceError(InputError):
     """Malformed or rejected surface data; ``code`` identifies the reason."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _is_endpoint(tok: str) -> bool:
@@ -104,17 +102,12 @@ class DecoratedSurface:
 
 def parse_surface(text: str) -> DecoratedSurface:
     """Parse the JSON surface format and validate all invariants."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SurfaceError("syntax", f"not valid JSON: {e}") from e
+    data = SurfaceError.json(text)
     if not isinstance(data, dict) or "circles" not in data or "arcs" not in data:
         raise SurfaceError("syntax", "expected object with 'circles' and 'arcs'")
 
     for name in ("circles", "arcs"):
-        if not isinstance(data[name], list):
-            raise SurfaceError("syntax", f"field {name!r} is not a list")
-        for item in data[name]:
+        for item in SurfaceError.list_field(data, name, "surface"):
             if not isinstance(item, list):
                 raise SurfaceError("syntax", f"field {name!r} holds {item!r}, not a list")
 

@@ -54,6 +54,22 @@ def test_validate_missing_file():
     assert not rep.ok
 
 
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["validate", "/nonexistent.json"], "InputError: cannot read /nonexistent.json: "),
+        (["hfhat", "/nonexistent.json"], "InputError: cannot read /nonexistent.json: "),
+        (["algebra", TORUS, "--k", "-1"], "InputError: k=-1 out of range for 2 arcs"),
+        (["index", "--i", "0", "--e", "0", "--l", "0", "--k", "1"], "DiagramError: levels must be >= 1"),
+    ],
+    ids=["validate-missing", "hfhat-missing", "algebra-k", "index-levels"],
+)
+def test_invalid_input_is_reported_by_its_coded_class(argv, detail):
+    status, rep = run(argv)
+    assert status == 1
+    assert [(c["name"], c["detail"][: len(detail)]) for c in rep.checks] == [("error", detail)]
+
+
 def test_algebra_all_checks():
     status, rep = run(["algebra", TORUS, "--k", "1", "--check", "all"])
     assert status == 0

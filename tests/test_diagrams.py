@@ -26,7 +26,7 @@ from strandalg.diagrams import (
 
 def test_analyze_standard_sphere_diagram():
     rep = analyze_diagram(s3_diagram())
-    assert (rep.genus, rep.num_points, rep.num_regions, rep.nice) == (1, 1, 1, True)
+    assert (rep.genus, rep.num_points, rep.num_regions) == (1, 1, 1)
 
 
 def test_analyze_slope_three():
@@ -221,10 +221,12 @@ def test_maslov_index_higher_product_vanishing_case():
 
 
 def test_maslov_index_argument_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         maslov_index(0, Fraction(0), 0, 1)
-    with pytest.raises(ValueError):
+    assert e.value.code == "bad-domain"
+    with pytest.raises(ValueError) as e:
         maslov_index(0, Fraction(0), 1, -1)
+    assert e.value.code == "bad-domain"
 
 
 def test_serialize_parse_round_trip():
@@ -279,6 +281,7 @@ def _s3_json(**change):
         (_s3_json(regions__0__corners=[[0, 1.0]]), "region 0: field 'corners' holds [0, 1.0]"),
         (_s3_json(regions__0__corners=[[False, 0]]), "region 0: field 'corners' holds [False, 0]"),
         (_s3_json(regions__0__genus=0.5), "region 0: field 'genus' is not an integer"),
+        (_s3_json(regions__0__has_z="false"), "region 0: field 'has_z' is not a boolean: 'false'"),
     ],
 )
 def test_malformed_diagram_is_a_diagram_error(text, message):

@@ -77,8 +77,9 @@ def test_basis_k2_split_by_bijection():
 
 
 def test_k_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         Algebra.from_surface(TORUS, 3)
+    assert e.value.code == "bad-k"
 
 
 @pytest.mark.parametrize(
