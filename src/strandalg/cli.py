@@ -92,13 +92,11 @@ class RunReport:
 
 
 def _read(report: RunReport, path) -> str:
-    """The text of an input file, its hash recorded in the report."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as e:
-        raise InputError("syntax", f"cannot read {path}: {e.strerror}") from e
-    report.inputs[str(path)] = hashlib.sha256(data).hexdigest()
-    return data.decode()
+    """The text of an input file, the hash of its bytes recorded in the
+    report (UTF-8 text encodes back to exactly the bytes read)."""
+    text = InputError.read_text(path)
+    report.inputs[str(path)] = hashlib.sha256(text.encode()).hexdigest()
+    return text
 
 
 def _load_surface(report, path):

@@ -4,6 +4,11 @@ Complexes are ungraded: the differential is any square-zero endomorphism of a
 finite GF(2) vector space with a distinguished generator basis.  Homology rank
 (dim ker - dim im) is the reproducible invariant; it is computed by Gaussian
 elimination on bit-packed rows (python ints as bit vectors).
+
+Every complex and chain map is validated on construction, a mapping cone
+included.  The checks cost time linear in the bits set: a row is in range when
+``row >> n`` is zero, which reads only the row, and d^2 = 0 and the chain-map
+square XOR one row per set bit.
 """
 
 from __future__ import annotations
@@ -82,13 +87,15 @@ class ChainComplex:
         n = len(self.labels)
         if len(self.differential) != n:
             raise ValueError("differential size does not match generator count")
-        full = (1 << n) - 1
-        for i, mask in enumerate(self.differential):
-            if mask & ~full:
+        diff = self.differential
+        for i, mask in enumerate(diff):
+            if mask >> n:  # a bit past n, or a negative mask
                 raise ValueError(f"differential of generator {i} out of range")
             acc = 0
-            for j in _bits(mask):
-                acc ^= self.differential[j]
+            while mask:
+                low = mask & -mask
+                acc ^= diff[low.bit_length() - 1]
+                mask ^= low
             if acc:
                 raise ValueError("differential does not square to zero")
 
@@ -97,9 +104,11 @@ class ChainComplex:
         return len(self.labels)
 
     def apply(self, mask: int) -> int:
-        acc = 0
-        for j in _bits(mask):
-            acc ^= self.differential[j]
+        diff, acc = self.differential, 0
+        while mask:
+            low = mask & -mask
+            acc ^= diff[low.bit_length() - 1]
+            mask ^= low
         return acc
 
     def homology_rank(self) -> int:
@@ -149,16 +158,17 @@ class ChainMap:
     def __post_init__(self):
         if len(self.matrix) != self.source.rank:
             raise NotAChainMap("matrix size does not match source")
-        full = (1 << self.target.rank) - 1
-        for i, mask in enumerate(self.matrix):
-            if mask & ~full:
+        n, matrix = self.target.rank, self.matrix
+        for i, mask in enumerate(matrix):
+            if mask >> n:  # a bit past n, or a negative mask
                 raise NotAChainMap(f"matrix row {i} out of range")
-        for i in range(self.source.rank):
+        for i, mask in enumerate(self.source.differential):
             md = 0
-            for j in _bits(self.source.differential[i]):
-                md ^= self.matrix[j]
-            dm = self.target.apply(self.matrix[i])
-            if md != dm:
+            while mask:
+                low = mask & -mask
+                md ^= matrix[low.bit_length() - 1]
+                mask ^= low
+            if md != self.target.apply(matrix[i]):
                 raise NotAChainMap(f"fails to commute on generator {i}")
 
 

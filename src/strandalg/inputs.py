@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import operator
+from pathlib import Path
 
 _REQUIRED = object()
 
@@ -30,6 +31,18 @@ class InputError(ValueError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+    @classmethod
+    def read_text(cls, path, prefix: str = "") -> str:
+        """The text of the UTF-8 file at path."""
+        try:
+            data = Path(path).read_bytes()
+        except OSError as e:
+            raise cls("syntax", f"{prefix}cannot read {path}: {e.strerror}") from e
+        try:
+            return data.decode()
+        except UnicodeDecodeError as e:
+            raise cls("syntax", f"{prefix}{path} is not UTF-8 text: {e}") from e
 
     @classmethod
     def json(cls, text: str, prefix: str = ""):

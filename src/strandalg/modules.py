@@ -100,12 +100,11 @@ class TypeAModule:
     ops: dict
 
     def __post_init__(self):
-        basis = self.algebra.basis
+        basis, idempotents = self.algebra.basis, self.algebra.idempotent_set
         _check_idempotents(self.algebra, self.generators, self.idem)
         for (x, args), outs in self.ops.items():
-            for a in args:
-                if basis[a].is_idempotent():
-                    raise ModuleFormatError("invalid", "idempotent arguments are implicit (strict unitality)")
+            if not idempotents.isdisjoint(args):
+                raise ModuleFormatError("invalid", "idempotent arguments are implicit (strict unitality)")
             if args:
                 if basis[args[0]].s != self.idem[x]:
                     raise IdempotentMismatch(f"operation on {x!r} starts off its idempotent")
@@ -124,9 +123,9 @@ class TypeAModule:
     def evaluate(self, x, args) -> frozenset:
         """m_{1+j}(x, args) on basis-element arguments, extended strictly
         unitally over idempotents."""
-        basis = self.algebra.basis
-        if any(basis[a].is_idempotent() for a in args):
-            if len(args) == 1 and basis[args[0]].s == self.idem[x]:
+        alg = self.algebra
+        if not alg.idempotent_set.isdisjoint(args):
+            if len(args) == 1 and alg.basis[args[0]].s == self.idem[x]:
                 return frozenset([x])
             return frozenset()
         return self.ops.get((x, tuple(args)), frozenset())
@@ -140,10 +139,7 @@ def _load_algebra(ref, base_dir) -> Algebra:
     surf = ModuleFormatError.field(ref, "surface", "algebra")
     if isinstance(surf, str):
         path = Path(base_dir or ".") / surf
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise ModuleFormatError("syntax", f"algebra: field 'surface' = {surf!r} is invalid: cannot read {path}: {e.strerror}") from e
+        text = ModuleFormatError.read_text(path, f"algebra: field 'surface' = {surf!r} is invalid: ")
     else:
         text = json.dumps(surf)
     try:
@@ -181,10 +177,7 @@ def load_module(source, algebra: Algebra | None = None, base_dir=None):
         text = str(source)
         if not text.lstrip().startswith("{"):
             path = Path(source)
-            try:
-                text = path.read_text()
-            except OSError as e:
-                raise ModuleFormatError("syntax", f"module: cannot read {path}: {e.strerror}") from e
+            text = ModuleFormatError.read_text(path, "module: ")
             base_dir = base_dir or path.parent
         data = ModuleFormatError.json(text, "module is ")
     else:
@@ -344,7 +337,7 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
         if d:
             ops[(f"b{i}", ())] = frozenset(f"b{j}" for j in d)
         for a, out in row.items():
-            if not alg.basis[a].is_idempotent():
+            if a not in alg.idempotent_set:
                 ops[(f"b{i}", (a,))] = frozenset(f"b{j}" for j in out)
     return TypeAModule(alg, gens, idem, ops)
 
@@ -353,38 +346,62 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
 # pairings
 
 
+def _delta_chains(n: TypeDModule, y, depth: int) -> list:
+    """Every delta chain out of y of length 0 to depth, as (labels, end);
+    DepthExceeded if a chain of length MAX_DEPTH would be extended."""
+    level = [((), y)]
+    chains = list(level)
+    for j in range(1, depth + 1):
+        if j > MAX_DEPTH:
+            raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
+        level = [(args + (a,), y2) for args, yy in level for a, y2 in n.delta_of(yy)]
+        if not level:
+            break
+        chains += level
+    return chains
+
+
 def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
     """Box tensor product: generators are idempotent-matched pairs, the
     differential feeds the delta chains of the type D side, of length 0 to
     max(j_max, 1), into the type A actions.  Chains of length 1 count even
     where the type A side has no action, since an idempotent-labelled arrow
-    acts by the unit.  If MAX_DEPTH is hit first, DepthExceeded is raised."""
+    acts by the unit.  If MAX_DEPTH is hit first, DepthExceeded is raised.
+
+    The chains out of y do not depend on x, so they are built once per type D
+    generator y that has a partner, fed to every x paired with it, and
+    dropped before the next y."""
     if not _same_algebra(m.algebra, n.algebra):
         raise ModuleFormatError("mismatch", "box tensor of modules over different algebras")
     depth = max(m.j_max, 1)
 
-    pairs = [
-        (x, y) for x in m.generators for y in n.generators if m.idem[x] == n.idem[y]
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
+    xs_at: dict = {}
+    ys_at: dict = {}
+    for x in m.generators:
+        xs_at.setdefault(m.idem[x], []).append(x)
+    for y in n.generators:
+        ys_at.setdefault(n.idem[y], []).append(y)
+    # generator number of each pair (x, y), x-major
+    index = {}
+    for x in m.generators:
+        for y in ys_at.get(m.idem[x], ()):
+            index[x, y] = len(index)
 
-    diff = []
-    for x, y in pairs:
-        mask = 0
-        chains, j = [((), y)], 0
-        while chains:
+    diff = [0] * len(index)
+    evaluate = m.evaluate
+    for y in n.generators:
+        xs = xs_at.get(n.idem[y])
+        if not xs:
+            continue
+        chains = _delta_chains(n, y, depth)
+        for x in xs:
+            mask = 0
             for args, yy in chains:
-                for x2 in m.evaluate(x, args):
+                for x2 in evaluate(x, args):
                     mask ^= 1 << index[x2, yy]
-            if j == depth:
-                break
-            j += 1
-            if j > MAX_DEPTH:
-                raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
-            chains = [(args + (a,), y2) for args, yy in chains for a, y2 in n.delta_of(yy)]
-        diff.append(mask)
+            diff[index[x, y]] = mask
 
-    labels = tuple(f"{x}|{y}" for x, y in pairs)
+    labels = tuple(f"{x}|{y}" for x, y in index)
     return ChainComplex(labels, tuple(diff))
 
 
@@ -406,7 +423,7 @@ def nilpotence_order(alg: Algebra) -> int:
     """Smallest j such that all j-fold products of non-idempotent basis
     elements vanish; raises TruncationUnsound if there is none."""
     rows = alg.products()
-    aplus = frozenset(i for i, b in enumerate(alg.basis) if not b.is_idempotent())
+    aplus = frozenset(range(alg.dim)) - alg.idempotent_set
     cur = aplus
     j = 1
     while cur:

@@ -37,6 +37,7 @@ intervals, the positions, and the matching.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -63,9 +64,6 @@ class BasisElement(NamedTuple):
     @property
     def marked(self) -> tuple[int, ...]:
         return tuple(a for a, c in zip(self.s, self.assign) if c is None)
-
-    def is_idempotent(self) -> bool:
-        return all(c is None for c in self.assign)
 
 
 def _basis_element(f_map: dict, assign_map: dict) -> BasisElement:
@@ -159,6 +157,12 @@ class Algebra:
 
     def idempotents(self) -> list[int]:
         return [self.idempotent_index(s) for s in itertools.combinations(range(self.n_arcs), self.k)]
+
+    @functools.cached_property
+    def idempotent_set(self) -> frozenset[int]:
+        """The indices of the basis elements with no chord, read from the
+        basis on first use."""
+        return frozenset(i for i, b in enumerate(self.basis) if all(c is None for c in b.assign))
 
     @property
     def dim(self) -> int:
@@ -518,7 +522,7 @@ def _idempotents(alg: Algebra, rows) -> list[str]:
         if residue := (rows[idem_of[b.s]].get(i, _ZERO) ^ one) or (rows[i].get(idem_of[b.t], _ZERO) ^ one):
             failures.append(f"unit law fails on {alg.describe(i)}: residue {alg.describe_sum(residue)}")
             break
-    if sum(b.is_idempotent() for b in alg.basis) != comb(alg.n_arcs, alg.k):
+    if len(alg.idempotent_set) != comb(alg.n_arcs, alg.k):
         failures.append("idempotent count differs from C(n, k)")
     return failures
 
@@ -751,8 +755,8 @@ def directedness_check(ds: DecoratedSurface, k: int) -> bool:
     quiver of nonzero off-diagonal hom spaces is acyclic."""
     alg = Algebra.from_surface(ds, k)
     edges: dict[tuple, set] = {}
-    for b in alg.basis:
-        if b.is_idempotent():
+    for i, b in enumerate(alg.basis):
+        if i in alg.idempotent_set:
             continue
         if b.s == b.t:
             return False

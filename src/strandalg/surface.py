@@ -134,10 +134,17 @@ def parse_surface(text: str) -> DecoratedSurface:
     face_genus = data.get("face_genus", {})
     if not isinstance(face_genus, dict):
         raise SurfaceError("syntax", "field 'face_genus' is not an object")
+    overrides = []
     for k, v in face_genus.items():
-        if not (k.isdecimal() and type(v) is int and v >= 0):
+        try:
+            face = int(k) if k.isascii() and k.isdecimal() else None
+        except ValueError:  # more digits than int() converts
+            face = None
+        # one key per face: k == str(face) rules out "00", "01" and the like
+        if face is None or k != str(face) or type(v) is not int or v < 0:
             raise SurfaceError("syntax", f"field 'face_genus' maps {k!r} to {v!r}, not a face index to a genus")
-    genus_overrides = tuple(sorted((int(k), v) for k, v in face_genus.items()))
+        overrides.append((face, v))
+    genus_overrides = tuple(sorted(overrides))
     ds = DecoratedSurface(tuple(circles), tuple(arcs), genus_overrides)
     _validate(ds)
     if genus_overrides:

@@ -70,6 +70,16 @@ def test_invalid_input_is_reported_by_its_coded_class(argv, detail):
     assert [(c["name"], c["detail"][: len(detail)]) for c in rep.checks] == [("error", detail)]
 
 
+@pytest.mark.parametrize("command", ["validate", "checkmod"])
+def test_non_utf8_input_is_a_syntax_error(command, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(bytes.fromhex("fffe7b7d"))
+    status, rep = run([command, str(path)])
+    assert status == 1
+    detail = f"InputError: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"
+    assert [(c["name"], c["detail"][: len(detail)]) for c in rep.checks] == [("error", detail)]
+
+
 def test_algebra_all_checks():
     status, rep = run(["algebra", TORUS, "--k", "1", "--check", "all"])
     assert status == 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,29 @@ def test_chain_map_must_commute():
     b = zero_complex(["u"])
     with pytest.raises(NotAChainMap):
         ChainMap(a, b, (0, 0b1))  # sends the boundary y somewhere d cannot
+
+
+@pytest.mark.parametrize("row", [1 << 3, 1 << 6, 1 << 6 | 1, -1, -(1 << 2)], ids=["bit-n", "bit-2n", "bit-2n-and-0", "minus-1", "minus-4"])
+def test_rows_out_of_range_are_rejected(row):
+    # n = 3 generators: a row may set bits 0..2 only
+    labels = ("x", "y", "z")
+    with pytest.raises(ValueError, match=re.escape("differential of generator 1 out of range")):
+        ChainComplex(labels, (0, row, 0))
+    with pytest.raises(NotAChainMap, match=re.escape("matrix row 1 out of range")):
+        ChainMap(zero_complex(labels), zero_complex(labels), (0, row, 0))
+
+
+def test_cone_keeps_its_own_checks():
+    a = ChainComplex(("x", "y"), (0b10, 0))
+    b = zero_complex(["u"])
+    with pytest.raises(NotAChainMap, match="fails to commute on generator 0"):
+        mapping_cone(ChainMap(a, b, (0, 0b1)))
+    # a matrix that skips the chain-map check still meets the cone's d^2 check
+    unchecked = object.__new__(ChainMap)
+    for name, value in (("source", a), ("target", b), ("matrix", (0, 0b1))):
+        object.__setattr__(unchecked, name, value)
+    with pytest.raises(ValueError, match="differential does not square to zero"):
+        mapping_cone(unchecked)
 
 
 def _induced_rank(f):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from strandalg.corpus import (
     torus_algebra,
     torus_decoration,
 )
+from strandalg import modules
 from strandalg.diagrams import cf_hat
 from strandalg.modules import (
     MAX_DEPTH,
@@ -211,9 +213,105 @@ def _looping_pair(inputs: int):
 
 
 def test_box_depth_exceeded():
-    with pytest.raises(DepthExceeded):
-        box_tensor(*_looping_pair(MAX_DEPTH + 1))
+    for box in (box_tensor, _reference_box):
+        with pytest.raises(DepthExceeded):
+            box(*_looping_pair(MAX_DEPTH + 1))
     assert box_tensor(*_looping_pair(MAX_DEPTH)).rank == 2
+
+
+# ---------------------------------------------------------------------------
+# the box tensor against the per-pair reference
+
+
+def _reference_evaluate(m, x, args):
+    """m_{1+j}(x, args), extended strictly unitally: an argument is an
+    idempotent when its basis element carries no chord."""
+    basis = m.algebra.basis
+    if any(all(c is None for c in basis[a].assign) for a in args):
+        return frozenset([x]) if len(args) == 1 and basis[args[0]].s == m.idem[x] else frozenset()
+    return m.ops.get((x, tuple(args)), frozenset())
+
+
+def _reference_box(m, n):
+    """The box tensor as (labels, differential), rebuilding the delta chains
+    of y for every pair (x, y): the slow path box_tensor replaces."""
+    depth = max(m.j_max, 1)
+    pairs = [(x, y) for x in m.generators for y in n.generators if m.idem[x] == n.idem[y]]
+    index = {p: i for i, p in enumerate(pairs)}
+    diff = []
+    for x, y in pairs:
+        mask = 0
+        chains, j = [((), y)], 0
+        while chains:
+            for args, yy in chains:
+                for x2 in _reference_evaluate(m, x, args):
+                    mask ^= 1 << index[x2, yy]
+            if j == depth:
+                break
+            j += 1
+            if j > MAX_DEPTH:
+                raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
+            chains = [(args + (a,), y2) for args, yy in chains for a, y2 in n.delta_of(yy)]
+        diff.append(mask)
+    return tuple(f"{x}|{y}" for x, y in pairs), tuple(diff)
+
+
+def _assert_box_matches_reference(m, n):
+    c = box_tensor(m, n)
+    assert (c.labels, c.differential) == _reference_box(m, n)
+
+
+def test_box_matches_reference_on_bundled_pairings_and_mor_duals():
+    for _, ma, nd, mr, _, _ in load_bundled_pairings():
+        _assert_box_matches_reference(ma, nd)
+        _assert_box_matches_reference(ma, dual_type_d(mr))  # the complex mor_complex(mr, ma) ranks
+
+
+@pytest.mark.parametrize("q", [*range(65), 2731])
+def test_box_matches_reference_on_fillings(q):
+    _assert_box_matches_reference(solid_torus_typeA(ALG), filling_typeD(q, ALG))
+
+
+def _random_modules(rng, alg):
+    """A type A and a type D module with random generators, actions of up to
+    two inputs and delta arrows, unit arrows included; neither need satisfy
+    its structure equation."""
+    idems = sorted(alg.by_source)
+    gens = lambda prefix: [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
+    xs, ys = gens("x"), gens("y")
+    idem = {g: rng.choice(idems) for g in xs + ys}
+    at = lambda gs, e: [g for g in gs if idem[g] == e]
+    ops = {}
+    for x in xs:
+        for r in range(3):
+            for _ in range(rng.randint(0, 2)):
+                args, tail = (), idem[x]
+                for _ in range(r):
+                    choices = [a for a in alg.by_source[tail] if a not in alg.idempotent_set]
+                    if not choices:
+                        break
+                    args += (rng.choice(choices),)
+                    tail = alg.basis[args[-1]].t
+                if len(args) == r and (outs := frozenset(rng.sample(at(xs, tail), rng.randint(0, len(at(xs, tail)))))):
+                    ops[x, args] = outs
+    delta = {}
+    for y in ys:
+        arrows = [(a, y2) for a in alg.by_source[idem[y]] for y2 in at(ys, alg.basis[a].t)]
+        delta[y] = frozenset(rng.sample(arrows, min(len(arrows), rng.randint(0, 3))))
+    m = TypeAModule(alg, tuple(xs), {x: idem[x] for x in xs}, ops)
+    n = TypeDModule(alg, tuple(ys), {y: idem[y] for y in ys}, delta)
+    return m, n
+
+
+def test_box_matches_reference_on_random_modules(monkeypatch):
+    # most random pairs do not square to zero, so compare the differential
+    # box_tensor hands to ChainComplex, before its validation
+    monkeypatch.setattr(modules, "ChainComplex", lambda labels, diff: (labels, diff))
+    rng = random.Random(17)
+    for alg in (ALG, Algebra.from_surface(torus_decoration(), 2), Algebra.from_surface(disc_with_arc(), 1)):
+        for _ in range(150):
+            m, n = _random_modules(rng, alg)
+            assert box_tensor(m, n) == _reference_box(m, n)
 
 
 def test_box_counts_unit_arrows_without_actions():
@@ -418,6 +516,17 @@ def _set_alg(data, desc):
     data["operations"][0]["alg"] = [desc] if data["type"] == "A" else desc
 
 
+def test_non_utf8_surface_file_is_a_format_error(tmp_path):
+    (tmp_path / "bad.json").write_bytes(bytes.fromhex("fffe7b7d"))
+    data = json.loads((data_dir() / "modules" / "filling2_typeD.json").read_text())
+    data["algebra"]["surface"] = "bad.json"
+    message = f"algebra: field 'surface' = 'bad.json' is invalid: {tmp_path / 'bad.json'} is not UTF-8 text: "
+    with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:
+        load_module(data, base_dir=tmp_path)
+    assert e.value.code == "syntax"
+    assert isinstance(e.value.__cause__, UnicodeDecodeError)
+
+
 @pytest.mark.parametrize("name", ["solid_torus_typeA", "filling2_typeD"])
 @pytest.mark.parametrize(
     "edit, code, message",
@@ -465,12 +574,13 @@ def _set_alg(data, desc):
         ("{not json", "syntax", "module is not valid JSON: "),
         (Path("missing.json"), "syntax", "module: cannot read "),
         (Path(), "syntax", "module: cannot read "),
+        (bytes.fromhex("fffe7b7d"), "syntax", "module: "),
     ],
     ids=["type", "generators", "algebra", "k", "name", "idempotent", "alg", "alg-int",
          "range", "chord", "chords-int", "markers", "markers-twice", "chords-bool", "chords-float",
          "markers-bool", "k-str", "k-float", "k-bool", "k-range",
          "idempotent-int", "idempotent-str", "idempotent-bool", "surface", "surface-inline", "surface-file",
-         "json-truncated", "json-syntax", "path-missing", "path-directory"],
+         "json-truncated", "json-syntax", "path-missing", "path-directory", "path-not-utf8"],
 )
 def test_malformed_module_is_a_format_error(name, edit, code, message, tmp_path):
     data = json.loads((data_dir() / "modules" / f"{name}.json").read_text())
@@ -481,6 +591,11 @@ def test_malformed_module_is_a_format_error(name, edit, code, message, tmp_path)
     elif isinstance(edit, Path):  # a path naming no readable file, given as a path and as a string
         path = tmp_path / edit
         message += str(path)
+        sources = [path, str(path)]
+    elif isinstance(edit, bytes):  # a file that is not UTF-8 text
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(edit)
+        message += f"{path} is not UTF-8 text: "
         sources = [path, str(path)]
     else:
         edit(data)

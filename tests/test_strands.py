@@ -95,6 +95,7 @@ def test_idempotent_count_is_n_choose_k():
         for k in range(ds.n_arcs + 1):
             alg = Algebra.from_surface(ds, k)
             assert len(alg.idempotents()) == comb(ds.n_arcs, k)
+            assert sorted(alg.idempotent_set) == alg.idempotents()
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +559,16 @@ def test_the_table_stores_no_zero_entry(monkeypatch):
         assert all(all(row.values()) for row in Algebra.from_surface(ds, k).products())
     assert (len(pairs), len(sizes)) == (275 + 6, 55_528)
     assert all(n == distinct for n, distinct in sizes)
+
+
+def test_a_corrupted_idempotent_fails_the_idempotent_count():
+    alg = Algebra.from_surface(TORUS, 1)
+    i = alg.idempotent_index((0,))
+    j = next(j for j in alg.by_source[(0,)] if j != i and alg.basis[j].t == (0,))
+    alg.basis = alg.basis[:i] + (alg.basis[j],) + alg.basis[i + 1:]  # I(0) now carries a chord
+    rep = check_algebra(TORUS, 1, checks=("idempotents",), algebra=alg)
+    assert rep.failures == ["idempotent count differs from C(n, k)"]
+    assert i not in alg.idempotent_set
 
 
 def test_check_algebra_rejects_a_foreign_algebra():

@@ -79,10 +79,24 @@ def test_parse_errors(text, code):
         ('{"circles": [["z"]], "arcs": [], "face_genus": {"a": 1}}', "field 'face_genus' maps 'a' to 1"),
         ('{"circles": [["z"]], "arcs": [], "face_genus": {"0": "x"}}', "field 'face_genus' maps '0' to 'x'"),
         ('{"circles": [["z"]], "arcs": [], "face_genus": {"0": -1}}', "field 'face_genus' maps '0' to -1"),
+        # a face index is written one way only: ASCII digits, no sign, space or leading zero
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"00": 1}}', "field 'face_genus' maps '00' to 1"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"01": 1}}', "field 'face_genus' maps '01' to 1"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"\u0660": 1}}', "field 'face_genus' maps '\u0660' to 1"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"+1": 1}}', "field 'face_genus' maps '+1' to 1"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {" 1": 1}}', "field 'face_genus' maps ' 1' to 1"),
+        ('{"circles": [["z"]], "arcs": [], "face_genus": {"0": 1, "\u0660": 1}}', "field 'face_genus' maps '\u0660' to 1"),
     ],
 )
 def test_malformed_surface_is_a_syntax_error(text, message):
     with pytest.raises(SurfaceError, match=re.escape(message)) as e:
+        parse_surface(text)
+    assert e.value.code == "syntax"
+
+
+def test_a_face_index_past_the_digit_limit_of_int_is_a_syntax_error():
+    text = json.dumps({"circles": [["z"]], "arcs": [], "face_genus": {"9" * 5000: 1}})
+    with pytest.raises(SurfaceError, match="field 'face_genus' maps '999") as e:
         parse_surface(text)
     assert e.value.code == "syntax"
 
