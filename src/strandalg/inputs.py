@@ -1,5 +1,6 @@
-"""Input files: the one coded error every rejected input raises, and the JSON
-field readers the surface, diagram, domain and module parsers share.
+"""Input files: the one coded error every rejected input raises, the reader
+of UTF-8 input files, and the JSON field readers the surface, diagram, domain
+and module parsers share.
 
 Every rejected input raises an InputError, or a subclass naming the kind of
 input, whose ``code`` identifies the reason.  The readers are classmethods, so

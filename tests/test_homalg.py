@@ -97,7 +97,9 @@ def test_chain_map_must_commute():
         ChainMap(a, b, (0, 0b1))  # sends the boundary y somewhere d cannot
 
 
-@pytest.mark.parametrize("row", [1 << 3, 1 << 6, 1 << 6 | 1, -1, -(1 << 2)], ids=["bit-n", "bit-2n", "bit-2n-and-0", "minus-1", "minus-4"])
+@pytest.mark.parametrize(
+    "row", [1 << 3, 1 << 6, 1 << 6 | 1, -1, -(1 << 2)], ids=["bit-n", "bit-2n", "bit-2n-and-0", "minus-1", "minus-4"]
+)
 def test_rows_out_of_range_are_rejected(row):
     # n = 3 generators: a row may set bits 0..2 only
     labels = ("x", "y", "z")

@@ -277,10 +277,13 @@ def _random_modules(rng, alg):
     two inputs and delta arrows, unit arrows included; neither need satisfy
     its structure equation."""
     idems = sorted(alg.by_source)
-    gens = lambda prefix: [f"{prefix}{i}" for i in range(rng.randint(1, 4))]
-    xs, ys = gens("x"), gens("y")
+    xs = [f"x{i}" for i in range(rng.randint(1, 4))]
+    ys = [f"y{i}" for i in range(rng.randint(1, 4))]
     idem = {g: rng.choice(idems) for g in xs + ys}
-    at = lambda gs, e: [g for g in gs if idem[g] == e]
+
+    def at(gs, e):
+        return [g for g in gs if idem[g] == e]
+
     ops = {}
     for x in xs:
         for r in range(3):
