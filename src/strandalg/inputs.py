@@ -47,10 +47,11 @@ class InputError(ValueError):
 
     @classmethod
     def json(cls, text: str, prefix: str = ""):
-        """The decoded JSON text."""
+        """The decoded JSON text.  ValueError covers JSONDecodeError and an
+        integer past int()'s digit limit."""
         try:
             return json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise cls("syntax", f"{prefix}not valid JSON: {e}") from e
 
     @classmethod

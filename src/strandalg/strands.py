@@ -7,8 +7,8 @@ on the matched arc or (when fixed by f) an identity marker.  Each basis
 element expands into 2^(#markers) unmatched strand diagrams, one horizontal
 strand per marker placed at either endpoint of its arc; the differential and
 product are computed on the diagrams (smoothing a crossing with an empty
-rectangle; composition with additive inversion count) and contracted back to
-the matched basis.
+rectangle; composition where no strand pair crosses in both factors) and read
+back in the matched basis.
 
 Algebra elements are named by basis index: the tables map an index, or a
 pair of indices, to the frozenset of basis indices of its image (a GF(2)
@@ -19,8 +19,11 @@ maps each j to a nonzero a_i * a_j, and a row not filled yet is None.  One
 kernel fills a row, for products() and mul_basis alike: two diagrams compose
 only where the end positions of the first are the start positions of the
 second, and to a nonzero diagram only where no strand pair crosses in both, a
-test of two crossing bitmasks.  Every call reads the rows as they stand, so
-the law, isomorphism and module checks see a corrupted entry wherever it is.
+test of two crossing bitmasks.  It reads each composition's basis element
+from an owner index and counts them per entry; only an entry that is not a sum
+of whole expansions is contracted, to raise its witness.  Every call reads
+the rows as they stand, so the law, isomorphism and module checks see a
+corrupted entry wherever it is.
 
 The differential swaps the ends of crossing strands (p1, q1), (p2, q2),
 p1 < p2 and q1 > q2, where their rectangle is empty: no strand (p, q) has
@@ -30,6 +33,9 @@ check_algebra runs the laws of LAWS in order.  Each maps the algebra and its
 product rows to failure witnesses; closure, which has no function, holds when
 filling the differential and the product rows raises nothing.  A law that meets
 a sum outside the matched span fails with that NotInMatchedSpan as its one line.
+Leibniz and assoc make one GF(2) pass per left factor: every term of either
+side gives an integer code for its factors and itself, and the codes of odd
+count are the residues.
 
 Nothing here looks at the complement faces: the algebra depends only on the
 intervals, the positions, and the matching.
@@ -40,6 +46,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -53,6 +61,11 @@ class NotInMatchedSpan(ValueError):
 
 
 _ZERO: frozenset = frozenset()
+
+
+def _no_ends(step) -> tuple:
+    """The ends of a diagram with no strand (operator.itemgetter needs one)."""
+    return ()
 
 
 class BasisElement(NamedTuple):
@@ -128,9 +141,10 @@ class Algebra:
         self._diff: dict[int, frozenset] = {}
         # the product table: row i maps j to a nonzero a_i * a_j; None until filled
         self._rows: list[dict[int, frozenset] | None] = [None] * self.dim
-        # built on first use by _fill_row: start set -> [(j, end of each
-        # strand by its start, crossing mask)] over every expansion diagram
+        # the diagram indexes of the row kernel, built on its first use
         self._starting_at: dict[int, list] | None = None
+        self._owned: dict[int, dict] = {}
+        self._sizes: list[int] = []
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
@@ -221,17 +235,6 @@ class Algebra:
             out.append(tuple(sorted(fixed + [(p, p) for p in pick])))
         return frozenset(out)
 
-    def inversions(self, diagram) -> int:
-        inv = 0
-        for (p1, q1), (p2, q2) in itertools.combinations(diagram, 2):
-            if self.pos_interval[p1] != self.pos_interval[p2]:
-                continue
-            if (self.pos_index[p1] - self.pos_index[p2]) * (
-                self.pos_index[q1] - self.pos_index[q2]
-            ) < 0:
-                inv += 1
-        return inv
-
     def _resolutions(self, diagram):
         """Smooth each crossing of a start-sorted diagram whose rectangle
         holds no other strand.  Strands run upward within an interval, so
@@ -271,7 +274,9 @@ class Algebra:
 
         Matched expansions are pairwise disjoint, so membership in the span
         means the support is a disjoint union of full expansions; anything
-        else raises NotInMatchedSpan.
+        else raises NotInMatchedSpan.  The differential contracts every
+        entry; the row kernel contracts only an entry whose owner count
+        fails, for its witness.
         """
         rem = set(diagrams)
         out = set()
@@ -327,25 +332,71 @@ class Algebra:
         count is the sum of its factors' counts less twice the strand pairs
         crossing in both: the inversion counts add exactly where the two
         crossing masks over the middle positions are disjoint.  The starts of
-        a left diagram are sorted, so each composition is too.  No diagram
-        is composed twice: a composition keeps its left diagram's starts, two
-        diagrams of a_i differ in a marker's start, and distinct right
-        diagrams give distinct step maps.  So each entry collects a plain
-        list and no entry sums to zero."""
+        a left diagram are sorted, so each composition is too.
+
+        No diagram is composed twice: a composition keeps its left diagram's
+        starts, two diagrams of a_i differ in a marker's start, and distinct
+        right diagrams give distinct step maps.  So the compositions of an
+        entry are distinct, and those with owner o are distinct diagrams of
+        o's expansion.  The entry is then in the matched span exactly where
+        every composition has an owner and each owner o is counted
+        len(expansion of o) times, and it is the set of those owners; no
+        entry sums to zero.  So the row is filled by reading each
+        composition's owner from the owner index (start mask -> ends in start
+        order -> basis index) and tallying owners per entry.  Only an entry
+        whose tally fails is composed in full and passed to contract, which
+        raises its witness."""
         if self._starting_at is None:
-            self._starting_at = {}
-            for j, exp in enumerate(self._expansions):
-                for d in exp:
-                    self._starting_at.setdefault(sum(1 << p for p, _ in d), []).append((j, dict(d), self._crossings(d, 0)))
+            self._index_diagrams()
         acc: dict[int, list] = {}
         for d in self._expansions[i]:
-            starts, ends, left = tuple(p for p, _ in d), tuple(q for _, q in d), self._crossings(d, 1)
+            ends, left = tuple(q for _, q in d), self._crossings(d, 1)
+            owned = self._owned.get(sum(1 << p for p, _ in d), {})
+            ends_of = operator.itemgetter(*ends) if ends else _no_ends
             for j, step, right in self._starting_at.get(sum(1 << q for q in ends), ()):
                 if not left & right:
-                    acc.setdefault(j, []).append(tuple(zip(starts, map(step.__getitem__, ends))))
-        row = {j: self.contract(acc[j]) for j in sorted(acc)}
+                    acc.setdefault(j, []).append(owned.get(ends_of(step)))
+        row = {}
+        for j in sorted(acc):
+            # no owner is counted more often than its expansion size, so the
+            # counts all equal the sizes exactly where their sums do
+            owners = frozenset(acc[j])
+            if None not in owners and len(acc[j]) == sum(map(self._sizes.__getitem__, owners)):
+                row[j] = owners
+            else:
+                row[j] = self.contract(self._compositions(i, j))
         self._rows[i] = row
         return row
+
+    def _index_diagrams(self) -> None:
+        """Build _starting_at (start mask -> [(j, end by start position,
+        start-side crossing mask)] over every expansion diagram), the owner
+        index _owned (start mask -> ends in start order -> basis index, keyed
+        as operator.itemgetter returns them: a tuple, or for one strand the
+        end itself) and _sizes (expansion size by basis index).  The owner
+        index takes its owners from _owner, but leaves out a diagram that
+        _owner gives to an element whose expansion lacks it."""
+        self._starting_at, self._owned = {}, {}
+        self._sizes = [len(exp) for exp in self._expansions]
+        key = operator.itemgetter(*range(self.k)) if self.k else _no_ends
+        for j, exp in enumerate(self._expansions):
+            for d in exp:
+                starts, step = sum(1 << p for p, _ in d), [0] * self.n_positions
+                for p, q in d:
+                    step[p] = q
+                self._starting_at.setdefault(starts, []).append((j, step, self._crossings(d, 0)))
+                if self._owner.get(d) == j:
+                    self._owned.setdefault(starts, {})[key(tuple(q for _, q in d))] = j
+
+    def _compositions(self, i: int, j: int) -> list:
+        """The composed diagrams whose sum is a_i * a_j."""
+        out = []
+        for d in self._expansions[i]:
+            left = self._crossings(d, 1)
+            for jj, step, right in self._starting_at.get(sum(1 << q for _, q in d), ()):
+                if jj == j and not left & right:
+                    out.append(tuple((p, step[q]) for p, q in d))
+        return out
 
     def products(self) -> list[dict[int, frozenset]]:
         """The product table itself, every row filled: row i maps j to a_i *
@@ -430,34 +481,50 @@ def _d2(alg: Algebra, rows) -> list[str]:
     return [f"d2 fails on {alg.describe(i)}: residue {alg.describe_sum(r)}" for i, r in bad[:3]]
 
 
+def _odd(codes: list[int]) -> list[int]:
+    """The codes that occur an odd number of times, in order.  A sorted list
+    pairs off position by position exactly where every code occurs an even
+    number of times."""
+    codes.sort()
+    if codes[::2] == codes[1::2]:
+        return []
+    return sorted(c for c, n in Counter(codes).items() if n & 1)
+
+
+def _residues(odd: list[int], stride: int, keep) -> list[tuple[int, frozenset]]:
+    """Read sorted odd codes, each key * stride + z for a term z at a key,
+    as (key, residue) in key order, for the keys kept."""
+    out: dict[int, set] = {}
+    for code in odd:
+        key, z = divmod(code, stride)
+        if keep(key):
+            out.setdefault(key, set()).add(z)
+    return [(key, frozenset(zs)) for key, zs in out.items()]
+
+
 def _leibniz(alg: Algebra, rows) -> list[str]:
-    # y -> every j with y in d(a_j)
+    """d(a_i a_j) = (d a_i) a_j + a_i (d a_j), checked in one GF(2) pass per
+    left factor i: each term z of any of the three sums gives the code
+    j * dim + z, and the codes of odd count are the residues.  They are read
+    out only where s(j) = t(i)."""
+    dim, basis = alg.dim, alg.basis
+    diff = [alg.diff_basis(i) for i in range(dim)]
+    # y -> j * dim for every j with y in d(a_j)
     d_into: dict[int, list[int]] = {}
-    for j in range(alg.dim):
-        for y in alg.diff_basis(j):
-            d_into.setdefault(y, []).append(j)
+    for j, dj in enumerate(diff):
+        for y in dj:
+            d_into.setdefault(y, []).append(j * dim)
     bad = []
-    for i, b in enumerate(alg.basis):
-        # both d(a_i a_j) and (d a_i) a_j + a_i (d a_j) vanish unless a_i
-        # a_j, x a_j for a term x of d a_i, or a_i y for a term y of d a_j
-        # is a nonzero product of the table
-        di = alg.diff_basis(i)
-        js = set(rows[i])
-        for x in di:
-            js.update(rows[x])
-        for y in rows[i]:
-            js.update(d_into.get(y, ()))
-        for j in sorted(js):
-            if alg.basis[j].s != b.t:
-                continue
-            lhs = alg.diff_support(rows[i].get(j, _ZERO))
-            rhs = _ZERO
-            for x in di:
-                rhs ^= rows[x].get(j, _ZERO)
-            for y in alg.diff_basis(j):
-                rhs ^= rows[i].get(y, _ZERO)
-            if lhs != rhs:
-                bad.append((i, j, lhs ^ rhs))
+    for i, b in enumerate(basis):
+        row = rows[i]
+        terms = [jd + z for j, ij in row.items() for jd in (j * dim,) for y in ij for z in diff[y]]  # d(a_i a_j)
+        terms += [j * dim + z for x in diff[i] for j, xj in rows[x].items() for z in xj]  # (d a_i) a_j
+        # a_i (d a_j), read from a_i y for each y and each j with y in d(a_j)
+        terms += [jd + z for y, iy in row.items() for jd in d_into.get(y, ()) for z in iy]
+        if odd := _odd(terms):
+            bad += [(i, j, r) for j, r in _residues(odd, dim, lambda j: basis[j].s == b.t)]
+            if len(bad) >= 3:
+                break
     return [
         f"leibniz fails on ({alg.describe(i)}, {alg.describe(j)}): residue {alg.describe_sum(r)}"
         for i, j, r in bad[:3]
@@ -465,40 +532,35 @@ def _leibniz(alg: Algebra, rows) -> list[str]:
 
 
 def _assoc(alg: Algebra, rows) -> list[str]:
-    # y -> every j with y a term of a_j a_l for some l
-    made_from: dict[int, set] = {}
+    """(a_i a_j) a_l = a_i (a_j a_l), checked in one GF(2) pass per left
+    factor i: each term z of either side gives the code (j * dim + l) * dim
+    + z, and the codes of odd count are the residues.  They are read out only
+    where s(j) = t(i) and s(l) = t(j)."""
+    dim, basis = alg.dim, alg.basis
+    # per row x, the code l * dim + z of every term z of every a_x a_l
+    codes = [[l * dim + z for l, xl in row.items() for z in xl] for row in rows]
+    # y -> (j * dim + l) * dim for every (j, l) with y a term of a_j a_l
+    made_from: dict[int, list[int]] = {}
     for j, row in enumerate(rows):
-        for p in row.values():
-            for y in p:
-                made_from.setdefault(y, set()).add(j)
+        for l, jl in row.items():
+            for y in jl:
+                made_from.setdefault(y, []).append((j * dim + l) * dim)
+    dim2 = dim * dim
     bad = []
-    for i, b in enumerate(alg.basis):
-        # both sides vanish at (i, j, l) unless a_i a_j is nonzero or a_j
-        # a_l has a term y with a_i y nonzero
-        js = set(rows[i])
-        for y in rows[i]:
-            js.update(made_from.get(y, ()))
-        for j in sorted(js):
-            if alg.basis[j].s != b.t:
-                continue
-            ij = rows[i].get(j, _ZERO)
-            # l runs over the keys of rows[j] and of rows[x] for a term x of
-            # a_i a_j, composable with a_j, in ascending order
-            tj = alg.basis[j].t
-            ls = set(rows[j])
-            for x in ij:
-                ls.update(rows[x])
-            for l in sorted(ls):
-                if alg.basis[l].s != tj:
-                    continue
-                lhs = _ZERO
-                for x in ij:
-                    lhs ^= rows[x].get(l, _ZERO)
-                rhs = _ZERO
-                for y in rows[j].get(l, _ZERO):
-                    rhs ^= rows[i].get(y, _ZERO)
-                if lhs != rhs:
-                    bad.append((i, j, l, lhs ^ rhs))
+    for i, b in enumerate(basis):
+        row = rows[i]
+        terms = [jd + c for j, ij in row.items() for jd in (j * dim2,) for x in ij for c in codes[x]]  # (a_i a_j) a_l
+        # a_i (a_j a_l), read from a_i y for each y and each (j, l) with y in a_j a_l
+        terms += [jl + z for y, iy in row.items() for jl in made_from.get(y, ()) for z in iy]
+        if odd := _odd(terms):
+
+            def composable(jl, t=b.t):
+                j, l = divmod(jl, dim)
+                return basis[j].s == t and basis[l].s == basis[j].t
+
+            bad += [(i, *divmod(jl, dim), r) for jl, r in _residues(odd, dim, composable)]
+            if len(bad) >= 3:
+                break
     return [
         f"assoc fails on ({alg.describe(i)}, {alg.describe(j)}, {alg.describe(l)}): residue {alg.describe_sum(r)}"
         for i, j, l, r in bad[:3]

@@ -13,7 +13,7 @@ import strandalg
 from strandalg.corpus import data_dir
 from strandalg.diagrams import DiagramDomain, DiagramError, parse_diagram, parse_domain, serialize_diagram
 from strandalg.inputs import InputError
-from strandalg.modules import ModuleFormatError
+from strandalg.modules import ModuleFormatError, load_module
 from strandalg.surface import SurfaceError, parse_surface, serialize_surface
 
 
@@ -37,6 +37,26 @@ def test_readers_raise_the_class_they_are_called_on(cls, read, message, chained)
     assert e.value.code == "syntax"
     assert str(e.value).startswith(message)
     assert (e.value.__cause__ is not None) == chained
+
+
+@pytest.mark.parametrize(
+    "parse, cls, prefix",
+    [
+        (parse_surface, SurfaceError, ""),
+        (load_module, ModuleFormatError, "module is "),
+        (parse_diagram, DiagramError, ""),
+        (parse_domain, DiagramError, ""),
+    ],
+    ids=["surface", "module", "diagram", "domain"],
+)
+def test_an_integer_past_the_digit_limit_of_int_is_a_syntax_error(parse, cls, prefix):
+    """json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    integer of more than 4,300 digits."""
+    with pytest.raises(cls) as e:
+        parse('{"type": ' + "9" * 5000 + "}")
+    assert e.value.code == "syntax"
+    assert str(e.value).startswith(f"{prefix}not valid JSON: Exceeds the limit")
+    assert type(e.value.__cause__) is ValueError
 
 
 def _serialize_domain(phi: DiagramDomain) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from collections import Counter
 from math import comb
@@ -102,6 +103,18 @@ def test_idempotent_count_is_n_choose_k():
 # expansion and contraction
 
 
+def _inversions(alg, diagram):
+    """The inversion count of a strand diagram: its strand pairs in one
+    interval whose starts and ends are in opposite orders."""
+    inv = 0
+    for (p1, q1), (p2, q2) in itertools.combinations(diagram, 2):
+        if alg.pos_interval[p1] != alg.pos_interval[p2]:
+            continue
+        if (alg.pos_index[p1] - alg.pos_index[p2]) * (alg.pos_index[q1] - alg.pos_index[q2]) < 0:
+            inv += 1
+    return inv
+
+
 def test_expand_idempotent_two_sections():
     alg = Algebra.from_surface(TORUS, 1)
     i = alg.idempotent_index([0])
@@ -113,7 +126,7 @@ def test_expand_chord_pair_single_diagram():
     i = alg.basis_index({"chords": [[0, 2], [1, 3]]})
     (d,) = alg._expansions[i]
     assert d == ((0, 2), (1, 3))
-    assert alg.inversions(d) == 0
+    assert _inversions(alg, d) == 0
 
 
 def test_expand_marker_with_chord_inversions():
@@ -121,7 +134,7 @@ def test_expand_marker_with_chord_inversions():
     i = alg.basis_index({"chords": [[1, 3]], "markers": [0]})
     exp = alg._expansions[i]
     assert exp == frozenset({((0, 0), (1, 3)), ((1, 3), (2, 2))})
-    assert sorted(alg.inversions(d) for d in exp) == [0, 1]
+    assert sorted(_inversions(alg, d) for d in exp) == [0, 1]
 
 
 def test_expansion_size_is_two_to_the_marked():
@@ -473,7 +486,7 @@ def test_crossing_masks_match_the_inversion_recount():
                     step = dict(d2)
                     comp = tuple((p, step[q]) for p, q in d1)
                     assert comp == tuple(sorted(comp))
-                    adds = alg.inversions(comp) == alg.inversions(d1) + alg.inversions(d2)
+                    adds = _inversions(alg, comp) == _inversions(alg, d1) + _inversions(alg, d2)
                     assert (not alg._crossings(d1, 1) & alg._crossings(d2, 0)) == adds
                     pairs += 1
     assert pairs == 30_729
@@ -489,15 +502,15 @@ def test_rectangle_rule_matches_the_inversion_recount():
         for k in range(ds.n_arcs + 1):
             alg = Algebra.from_surface(ds, k)
             for d in (d for exp in alg._expansions for d in exp):
-                inv, recount = alg.inversions(d), []
+                inv, recount = _inversions(alg, d), []
                 for (x, (p1, q1)), (y, (p2, q2)) in itertools.combinations(enumerate(d), 2):
-                    if not alg.inversions(((p1, q1), (p2, q2))):
+                    if not _inversions(alg, ((p1, q1), (p2, q2))):
                         continue
                     smoothing = list(d)
                     smoothing[x], smoothing[y] = (p1, q2), (p2, q1)
                     smoothing = tuple(sorted(smoothing))
                     empty = not any(p1 < p < p2 and q2 < q < q1 for p, q in d)
-                    assert empty == (alg.inversions(smoothing) == inv - 1)
+                    assert empty == (_inversions(alg, smoothing) == inv - 1)
                     if empty:
                         recount.append(smoothing)
                 assert list(alg._resolutions(d)) == recount
@@ -525,8 +538,8 @@ def test_on_demand_products_match_the_filled_table(ds, k):
 def test_a_second_products_call_returns_the_stored_rows(monkeypatch):
     alg = Algebra.from_surface(TORUS, 2)
     rows = alg.products()
-    contract, calls = alg.contract, []
-    monkeypatch.setattr(alg, "contract", lambda diagrams: calls.append(1) or contract(diagrams))
+    fill, calls = alg._fill_row, []
+    monkeypatch.setattr(alg, "_fill_row", lambda i: calls.append(i) or fill(i))
     assert alg.products() is rows is alg._rows
     assert not calls
 
@@ -540,25 +553,69 @@ def test_mul_basis_fills_only_the_row_of_a_composable_pair():
     assert [i for i, row in enumerate(alg._rows) if row is not None] == [e0]
 
 
-def test_the_table_stores_no_zero_entry(monkeypatch):
-    """_fill_row collects each entry as a plain list of composed diagrams and
-    stores every sum: a diagram composed twice would be dropped by contract,
-    not cancelled, and a cancelling sum would be stored as a zero entry.
-    Neither happens on the corpus or on genus 3 at k <= 2."""
-    contract, sizes = Algebra.contract, []
+def _reference_compositions(alg):
+    """(i, j) -> the composed diagrams whose sum is a_i * a_j: every diagram
+    of a_i followed by every diagram of a_j that starts where it ends, kept
+    where no strand pair crosses in both (the rule the inversion recount
+    above pins)."""
+    by_start = {}
+    for j, exp in enumerate(alg._expansions):
+        for d in exp:
+            by_start.setdefault(frozenset(p for p, _ in d), []).append((j, dict(d), alg._crossings(d, 0)))
+    compositions = {}
+    for i, exp in enumerate(alg._expansions):
+        for d in exp:
+            left = alg._crossings(d, 1)
+            for j, step, right in by_start.get(frozenset(q for _, q in d), ()):
+                if not left & right:
+                    compositions.setdefault((i, j), []).append(tuple((p, step[q]) for p, q in d))
+    return compositions
 
-    def counting(self, diagrams):
-        if isinstance(diagrams, list):
-            sizes.append((len(diagrams), len(set(diagrams))))
-        return contract(self, diagrams)
 
-    monkeypatch.setattr(Algebra, "contract", counting)
+def test_the_table_stores_no_zero_entry():
+    """The row kernel reads an entry from owner counts, which is exact only
+    because no entry composes a diagram twice.  Against a reference
+    composition, on the corpus and on genus 3 at k <= 2: each entry's
+    compositions are distinct, contract to the stored entry, and no entry is
+    zero."""
     pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
     pairs += [(ds, k) for ds in GENUS3.values() for k in range(3)]
+    entries = 0
     for ds, k in pairs:
-        assert all(all(row.values()) for row in Algebra.from_surface(ds, k).products())
-    assert (len(pairs), len(sizes)) == (275 + 6, 55_528)
-    assert all(n == distinct for n, distinct in sizes)
+        alg = Algebra.from_surface(ds, k)
+        rows = alg.products()
+        compositions = _reference_compositions(alg)
+        assert {(i, j) for i, row in enumerate(rows) for j in row} == compositions.keys()
+        for (i, j), diagrams in compositions.items():
+            assert len(set(diagrams)) == len(diagrams)
+            assert alg.contract(diagrams) == rows[i][j]
+        assert all(all(row.values()) for row in rows)
+        entries += len(compositions)
+    assert (len(pairs), entries) == (275 + 6, 55_528)
+
+
+@pytest.mark.parametrize(
+    "dropped, owner",
+    [
+        (((0, 0), (1, 1)), {"chords": [[0, 2]], "markers": [1]}),
+        (((0, 0), (3, 3)), {"chords": [[1, 3]], "markers": [0]}),
+        (((1, 1), (2, 2)), {"chords": [[0, 2]], "markers": [1]}),
+        (((2, 2), (3, 3)), {"chords": [[0, 2]], "markers": [1]}),
+    ],
+)
+def test_a_partial_expansion_keeps_its_witness_in_every_row_law(dropped, owner):
+    """A diagram dropped from the idempotent's expansion before the first
+    fill leaves entries that are only part of an expansion: the owner count
+    of those entries fails, and contract gives each row law its witness."""
+    alg = Algebra.from_surface(TORUS, 2)
+    (e,) = alg.idempotents()
+    alg._expansions[e] -= {dropped}
+    rep = check_algebra(TORUS, 2, algebra=alg)
+    assert rep.laws == {"closure": False, "d2": True, "leibniz": False, "assoc": False, "idempotents": False}
+    assert rep.failures == [
+        f"{law}: expansion of {json.dumps(owner)} only partially present"
+        for law in ("closure", "leibniz", "assoc", "idempotents")
+    ]
 
 
 def test_a_corrupted_idempotent_fails_the_idempotent_count():
@@ -783,6 +840,44 @@ def test_every_single_flip_matches_reference(k):
             rep = check_algebra(TORUS, k, algebra=alg)
             assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
         alg._rows[i][j] = kept
+
+
+def _flip(alg, kind, rng):
+    """Corrupt a filled table at a seeded place: kind 0 sets a product entry
+    at a key that does not compose, kind 1 adds a product term with the
+    wrong idempotents, kind 2 flips a differential term."""
+    basis, dim = alg.basis, alg.dim
+    if kind == 0:
+        i, j = rng.choice([(i, j) for i in range(dim) for j in range(dim) if basis[i].t != basis[j].s])
+        alg._rows[i][j] = frozenset([rng.randrange(dim)])
+    elif kind == 1:
+        i, j = rng.choice([(i, j) for i, row in enumerate(alg._rows) for j in row])
+        wrong = [e for e in range(dim) if (basis[e].s, basis[e].t) != (basis[i].s, basis[j].t)]
+        alg._rows[i][j] |= {rng.choice(wrong)}
+    else:
+        i = rng.randrange(dim)
+        alg._diff[i] = alg.diff_basis(i) ^ {rng.randrange(dim)}
+
+
+def test_toggle_laws_match_reference_on_seeded_flips():
+    """On every corpus (surface, k), one seeded flip, taking the kinds of
+    _flip in turn (only kind 2 where there is one idempotent, since every
+    pair composes there): the toggle passes of leibniz and assoc report what
+    the all-pairs reference does."""
+    rng, verdicts = random.Random(18), Counter()
+    cases = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    for n, (ds, k) in enumerate(cases):
+        alg = Algebra.from_surface(ds, k)
+        alg.products()
+        kind = n % 3 if len(alg.by_source) > 1 else 2
+        _flip(alg, kind, rng)
+        laws = ("leibniz",) if kind == 2 else ("leibniz", "assoc")  # assoc reads no differential
+        rep = check_algebra(ds, k, checks=laws, algebra=alg)
+        assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
+        verdicts[kind, rep.ok] += 1
+    # a key that does not compose is never read out, so kind 0 always passes
+    assert len(cases) == 275
+    assert verdicts == {(0, True): 51, (1, False): 39, (1, True): 2, (2, False): 162, (2, True): 21}
 
 
 def _lose_product_term(alg):
