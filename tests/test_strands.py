@@ -859,10 +859,10 @@ def _flip(alg, kind, rng):
         alg._diff[i] = alg.diff_basis(i) ^ {rng.randrange(dim)}
 
 
-def test_toggle_laws_match_reference_on_seeded_flips():
+def test_gf2_law_passes_match_reference_on_seeded_flips():
     """On every corpus (surface, k), one seeded flip, taking the kinds of
     _flip in turn (only kind 2 where there is one idempotent, since every
-    pair composes there): the toggle passes of leibniz and assoc report what
+    pair composes there): the GF(2) passes of leibniz and assoc report what
     the all-pairs reference does."""
     rng, verdicts = random.Random(18), Counter()
     cases = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
