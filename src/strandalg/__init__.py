@@ -10,7 +10,6 @@ from .diagrams import (
     DiagramDomain,
     DiagramError,
     Region,
-    analyze_diagram,
     cf_hat,
     enumerate_generators,
     euler_measure,

@@ -131,7 +131,7 @@ def _cmd_algebra(args, report):
     ds = _load_surface(report, args.surface)
     alg = Algebra.from_surface(ds, args.k)
     report.results["dimension"] = alg.dim
-    report.results["idempotents"] = len(alg.idempotents())
+    report.results["idempotents"] = len(alg.idempotent_set)
     which = args.check or []
     if "all" in which:
         which = [*LAWS, "op", "directed"]

@@ -118,32 +118,6 @@ def validate_diagram(d: ClosedDiagram):
         )
 
 
-def is_nice(d: ClosedDiagram) -> bool:
-    return all(
-        r.has_z or (len(r.corners) in (2, 4) and r.genus == 0) for r in d.regions
-    )
-
-
-@dataclass
-class DiagramReport:
-    genus: int
-    num_points: int
-    num_regions: int
-    region_sizes: tuple
-
-
-def analyze_diagram(d: ClosedDiagram) -> DiagramReport:
-    validate_diagram(d)
-    if not is_nice(d):
-        raise DiagramError("not-nice", "non-nice region without basepoint")
-    return DiagramReport(
-        genus=d.genus,
-        num_points=len(d.points),
-        num_regions=len(d.regions),
-        region_sizes=tuple(len(r.corners) for r in d.regions),
-    )
-
-
 def enumerate_generators(d: ClosedDiagram):
     """All point tuples inducing a bijection alpha -> beta, as sorted index
     tuples, in lexicographic order."""
@@ -206,7 +180,9 @@ def _region_moves(d: ClosedDiagram, r: Region):
 def cf_hat(d: ClosedDiagram) -> ChainComplex:
     """The hat Floer complex of a nice diagram: empty embedded bigons and
     rectangles away from the basepoint."""
-    analyze_diagram(d)
+    validate_diagram(d)
+    if not all(r.has_z or (len(r.corners) in (2, 4) and r.genus == 0) for r in d.regions):
+        raise DiagramError("not-nice", "non-nice region without basepoint")
     gens = enumerate_generators(d)
     index = {g: i for i, g in enumerate(gens)}
     gen_sets = [frozenset(g) for g in gens]

@@ -47,7 +47,7 @@ def gf2_rank_dense(rows) -> int:
 def gf2_rank_sparse(rows) -> int:
     """GF(2) rank via set-based elimination, pivoting on the sparsest row
     first.  Not used by the engine: it is the independent oracle the tests
-    check gf2_rank against, and it is O(n^2 log n) before any XOR."""
+    check gf2_rank_dense against, and it is O(n^2 log n) before any XOR."""
     active = [set(_bits(r)) for r in rows if r]
     rank = 0
     while active:
@@ -65,11 +65,6 @@ def gf2_rank_sparse(rows) -> int:
                 nxt.append(row)
         active = nxt
     return rank
-
-
-def gf2_rank(rows) -> int:
-    """GF(2) rank of bit-packed rows, by dense elimination."""
-    return gf2_rank_dense(rows)
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,7 @@ class ChainComplex:
         return homology_rank(self)
 
     def differential_rank(self) -> int:
-        return gf2_rank(self.differential)
+        return gf2_rank_dense(self.differential)
 
     def to_json(self) -> str:
         pairs = sorted(

@@ -54,10 +54,6 @@ class TruncationUnsound(RuntimeError):
     """The finite morphism-complex model does not apply to this input."""
 
 
-def _same_algebra(a: Algebra, b: Algebra) -> bool:
-    return (a.interval_arcs, a.k, a.n_arcs) == (b.interval_arcs, b.k, b.n_arcs)
-
-
 def _check_idempotents(alg: Algebra, generators, idem: dict) -> None:
     for x in generators:
         if idem[x] not in alg.by_source:
@@ -254,11 +250,11 @@ def dump_module(m, algebra_ref: dict) -> dict:
 
 @dataclass
 class ModuleCheckReport:
-    ok: bool
     failures: list
 
-    def __bool__(self):
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def check_typeD(n: TypeDModule) -> ModuleCheckReport:
@@ -276,7 +272,7 @@ def check_typeD(n: TypeDModule) -> ModuleCheckReport:
                     acc ^= {(c, z)}
         if acc:
             failures.append(f"structure equation fails on {x!r}: residue {sorted(acc)}")
-    return ModuleCheckReport(not failures, failures)
+    return ModuleCheckReport(failures)
 
 
 def _relation_terms(m: TypeAModule, x, args):
@@ -322,8 +318,8 @@ def check_typeA(m: TypeAModule, max_inputs: int | None = None) -> ModuleCheckRep
                 if res:
                     failures.append(f"relation fails on ({x!r}, {args}): residue {sorted(res)}")
                     if len(failures) > 4:
-                        return ModuleCheckReport(False, failures)
-    return ModuleCheckReport(not failures, failures)
+                        return ModuleCheckReport(failures)
+    return ModuleCheckReport(failures)
 
 
 def algebra_as_module(alg: Algebra) -> TypeAModule:
@@ -371,7 +367,7 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
     The chains out of y do not depend on x, so they are built once per type D
     generator y that has a partner, fed to every x paired with it, and
     dropped before the next y."""
-    if not _same_algebra(m.algebra, n.algebra):
+    if m.algebra.key != n.algebra.key:
         raise ModuleFormatError("mismatch", "box tensor of modules over different algebras")
     depth = max(m.j_max, 1)
 
@@ -447,7 +443,7 @@ def mor_complex(m1: TypeAModule, m2: TypeAModule) -> ChainComplex:
     be nilpotent and the dual of M1 to satisfy the type D structure equation;
     both are checked and TruncationUnsound is raised otherwise.
     """
-    if not _same_algebra(m1.algebra, m2.algebra):
+    if m1.algebra.key != m2.algebra.key:
         raise ModuleFormatError("mismatch", "morphism complex of modules over different algebras")
     nilpotence_order(m1.algebra)
     dual = dual_type_d(m1)

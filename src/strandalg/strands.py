@@ -44,6 +44,7 @@ intervals, the positions, and the matching.
 from __future__ import annotations
 
 import functools
+import graphlib
 import itertools
 import json
 import operator
@@ -97,6 +98,8 @@ class Algebra:
         if not 0 <= k <= self.n_arcs:
             raise InputError("bad-k", f"k={k} out of range for {self.n_arcs} arcs")
         self.k = k
+        # two algebras are the same exactly where their keys are (n_arcs follows from the intervals)
+        self.key = (self.interval_arcs, k)
 
         self.pos_interval: list[int] = []
         self.pos_index: list[int] = []
@@ -169,14 +172,11 @@ class Algebra:
                     for assign in itertools.product(*pools):
                         yield BasisElement(s, t, image, assign)
 
-    def idempotents(self) -> list[int]:
-        return [self.idempotent_index(s) for s in itertools.combinations(range(self.n_arcs), self.k)]
-
     @functools.cached_property
     def idempotent_set(self) -> frozenset[int]:
         """The indices of the basis elements with no chord, read from the
-        basis on first use."""
-        return frozenset(i for i, b in enumerate(self.basis) if all(c is None for c in b.assign))
+        basis on first use (a chord is a non-empty tuple, a marker None)."""
+        return frozenset(i for i, b in enumerate(self.basis) if not any(b.assign))
 
     @property
     def dim(self) -> int:
@@ -286,7 +286,9 @@ class Algebra:
             if i is None:
                 raise NotInMatchedSpan(f"diagram {d} matches no basis element")
             exp = self._expansions[i]
-            if not exp <= rem:
+            # an owner whose expansion lacks d is a corrupted table, where
+            # rem -= exp could remove nothing and pick d again forever
+            if d not in exp or not exp <= rem:
                 raise NotInMatchedSpan(f"expansion of {self.describe(i)} only partially present")
             rem -= exp
             out.add(i)
@@ -569,7 +571,7 @@ def _assoc(alg: Algebra, rows) -> list[str]:
 
 def _idempotents(alg: Algebra, rows) -> list[str]:
     failures = []
-    idems = alg.idempotents()
+    idems = sorted(alg.idempotent_set)
     for a, b in itertools.product(idems, idems):
         if residue := rows[a].get(b, _ZERO) ^ (frozenset([a]) if a == b else _ZERO):
             failures.append(
@@ -601,7 +603,7 @@ def check_algebra(ds: DecoratedSurface, k: int, checks=tuple(LAWS), algebra: Alg
     if unknown := sorted(set(checks) - LAWS.keys()):
         raise ValueError(f"unknown law(s) {unknown}")
     alg = algebra if algebra is not None else Algebra.from_surface(ds, k)
-    if (alg.interval_arcs, alg.k, alg.n_arcs) != (_interval_arcs(ds), k, ds.n_arcs):
+    if alg.key != (_interval_arcs(ds), k):
         raise ValueError(f"algebra is not the algebra of this surface at k={k}")
     rows = fill_error = None
     if any(name in checks for name in _ROW_LAWS):
@@ -823,19 +825,11 @@ def directedness_check(ds: DecoratedSurface, k: int) -> bool:
         if b.s == b.t:
             return False
         edges.setdefault(b.s, set()).add(b.t)
-
-    seen: dict[tuple, int] = {}  # 1 = on stack, 2 = done
-
-    def dfs(v) -> bool:
-        seen[v] = 1
-        for w in edges.get(v, ()):
-            state = seen.get(w)
-            if state == 1 or (state is None and not dfs(w)):
-                return False
-        seen[v] = 2
-        return True
-
-    return all(dfs(v) for v in list(edges) if v not in seen)
+    try:  # the sorter reads the edges as predecessors; a cycle is one either way
+        graphlib.TopologicalSorter(edges).prepare()
+    except graphlib.CycleError:
+        return False
+    return True
 
 
 def brute_force_dimension(ds: DecoratedSurface, k: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -215,6 +216,14 @@ def test_json_reports_are_byte_identical(tmp_path):
     assert data["pass"] is True
     assert data["timing_ms"] is None
     assert LENS5 in data["inputs"]
+
+
+def test_suite_report_bytes_are_pinned(suite_run):
+    """`strandalg suite --json` writes these bytes; a change to any verdict,
+    detail or result of the acceptance gate changes the digest."""
+    _, rep = suite_run
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == "aee1a76974387dd05488d78633e7cb3c24c97e84fcff40e600a9952d9acd461f"
 
 
 def test_suite_runs_the_acceptance_criteria(suite_run):

@@ -12,7 +12,6 @@ from strandalg.diagrams import (
     DiagramDomain,
     DiagramError,
     Region,
-    analyze_diagram,
     cf_hat,
     enumerate_generators,
     euler_measure,
@@ -22,17 +21,6 @@ from strandalg.diagrams import (
     serialize_diagram,
     validate_diagram,
 )
-
-
-def test_analyze_standard_sphere_diagram():
-    rep = analyze_diagram(s3_diagram())
-    assert (rep.genus, rep.num_points, rep.num_regions) == (1, 1, 1)
-
-
-def test_analyze_slope_three():
-    rep = analyze_diagram(slope_diagram(3))
-    assert (rep.num_points, rep.num_regions) == (3, 3)
-    assert rep.region_sizes == (4, 4, 4)
 
 
 def test_pentagon_without_basepoint_rejected():
@@ -45,7 +33,7 @@ def test_pentagon_without_basepoint_rejected():
         ),
     )
     with pytest.raises(DiagramError, match="non-nice"):
-        analyze_diagram(bad)
+        cf_hat(bad)
 
 
 def test_corner_incidence_errors():
@@ -336,7 +324,7 @@ def test_non_nice_diagram_has_its_own_code():
         ),
     )
     with pytest.raises(DiagramError, match="non-nice") as e:
-        analyze_diagram(bad)
+        cf_hat(bad)
     assert e.value.code == "not-nice"
 
 

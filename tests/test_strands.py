@@ -95,8 +95,9 @@ def test_idempotent_count_is_n_choose_k():
     for _, ds in corpus_surfaces()[:25]:
         for k in range(ds.n_arcs + 1):
             alg = Algebra.from_surface(ds, k)
-            assert len(alg.idempotents()) == comb(ds.n_arcs, k)
-            assert sorted(alg.idempotent_set) == alg.idempotents()
+            assert len(alg.idempotent_set) == comb(ds.n_arcs, k)
+            by_arcs = [alg.idempotent_index(s) for s in itertools.combinations(range(ds.n_arcs), k)]
+            assert sorted(alg.idempotent_set) == by_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def test_contract_half_expansion_fails():
 def test_diff_of_idempotents_vanishes():
     for k in (0, 1, 2):
         alg = Algebra.from_surface(TORUS, k)
-        for e in alg.idempotents():
+        for e in sorted(alg.idempotent_set):
             assert not alg.diff_basis(e)
 
 
@@ -334,6 +335,20 @@ def test_directedness_double_cover_true():
 def test_directedness_interleaved_false_at_k1():
     assert not directedness_check(TORUS, 1)
     assert directedness_check(TORUS, 0)
+
+
+def test_directedness_false_on_a_cycle_of_trivial_self_homs():
+    """At n2_split2x2_m2 k=1 every self-hom is spanned by its idempotent, so
+    only the cycle of off-diagonal homs makes it not directed."""
+    ds = dict(corpus_surfaces())["n2_split2x2_m2"]
+    alg = Algebra.from_surface(ds, 1)
+    assert all(b.s != b.t for i, b in enumerate(alg.basis) if i not in alg.idempotent_set)
+    assert not directedness_check(ds, 1)
+
+
+def test_directedness_on_the_corpus():
+    verdicts = [directedness_check(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    assert (len(verdicts), sum(verdicts)) == (275, 86)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +623,23 @@ def test_a_partial_expansion_keeps_its_witness_in_every_row_law(dropped, owner):
     fill leaves entries that are only part of an expansion: the owner count
     of those entries fails, and contract gives each row law its witness."""
     alg = Algebra.from_surface(TORUS, 2)
-    (e,) = alg.idempotents()
+    (e,) = sorted(alg.idempotent_set)
     alg._expansions[e] -= {dropped}
     rep = check_algebra(TORUS, 2, algebra=alg)
+    assert rep.laws == {"closure": False, "d2": True, "leibniz": False, "assoc": False, "idempotents": False}
+    assert rep.failures == [
+        f"{law}: expansion of {json.dumps(owner)} only partially present"
+        for law in ("closure", "leibniz", "assoc", "idempotents")
+    ]
+
+
+def test_an_empty_expansion_fails_each_row_law_instead_of_hanging():
+    """An owner whose expansion lacks a diagram it owns is a partial
+    expansion: contract raises, and does not pick that diagram forever."""
+    alg = Algebra.from_surface(TORUS, 1)
+    owner = {"chords": [[0, 2]], "markers": []}
+    alg._expansions[alg.basis_index(owner)] = frozenset()
+    rep = check_algebra(TORUS, 1, algebra=alg)
     assert rep.laws == {"closure": False, "d2": True, "leibniz": False, "assoc": False, "idempotents": False}
     assert rep.failures == [
         f"{law}: expansion of {json.dumps(owner)} only partially present"
