@@ -28,6 +28,7 @@ from .diagrams import (
 )
 from .inputs import InputError
 from .modules import (
+    ModuleFormatError,
     TypeDModule,
     box_tensor,
     check_typeA,
@@ -104,8 +105,9 @@ def _load_surface(report, path):
 
 
 def _module_with_inputs(report, path):
-    _read(report, path)
-    return load_module(path)
+    """The module at path, parsed from the one text whose hash is recorded."""
+    data = ModuleFormatError.json(_read(report, path), "module is ")
+    return load_module(data, base_dir=Path(path).parent)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,9 @@ NAMED_DIAGRAMS = {
     **{f"lens{p}": (lambda p=p: slope_diagram(p)) for p in range(2, 8)},
 }
 
+# rank of HF-hat of each named diagram's 3-manifold: S^3, S^1 x S^2, L(p, 1)
+DIAGRAM_RANKS = {"s3": 1, "s1s2": 2, **{f"lens{p}": p for p in range(2, 8)}}
+
 
 # ---------------------------------------------------------------------------
 # bundled solid-torus modules over the torus algebra (k = 1)
@@ -225,10 +228,10 @@ PAIRINGS = tuple(
         "type_a": "modules/solid_torus_typeA.json",
         "type_d": f"modules/filling{q}_typeD.json",
         "reversed_type_a": f"modules/filling{q}_rev_typeA.json",
-        "diagram": "s1s2" if q == 0 else ("s3" if q == 1 else f"lens{q}"),
-        "rank": 2 if q == 0 else q,
+        "diagram": diagram,
+        "rank": DIAGRAM_RANKS[diagram],
     }
-    for q in range(6)
+    for q, diagram in enumerate(("s1s2", "s3", *(f"lens{p}" for p in range(2, 6))))
 )
 
 

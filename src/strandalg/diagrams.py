@@ -92,9 +92,11 @@ def serialize_diagram(d: ClosedDiagram) -> str:
 
 
 def validate_diagram(d: ClosedDiagram):
-    """Structural consistency: four quadrants per point, each used once, and
-    the assembled surface closes up with the stated genus."""
+    """Structural consistency: four quadrants per point, each used once, no
+    negative genus, and the assembled surface closes up with the stated genus."""
     n = len(d.points)
+    if d.genus < 0 or any(r.genus < 0 for r in d.regions):
+        raise DiagramError("invalid", "negative diagram or region genus")
     for a, b in d.points:
         if not (0 <= a < d.genus and 0 <= b < d.genus):
             raise DiagramError("invalid", "point tagged with out-of-range curve index")

@@ -28,6 +28,16 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _xor_rows(rows, mask: int) -> int:
+    """The GF(2) sum of the rows whose indices the bits of mask select."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def gf2_rank_dense(rows) -> int:
     """GF(2) rank of a list of bit-packed rows (ints)."""
     pivots: dict[int, int] = {}
@@ -86,12 +96,7 @@ class ChainComplex:
         for i, mask in enumerate(diff):
             if mask >> n:  # a bit past n, or a negative mask
                 raise ValueError(f"differential of generator {i} out of range")
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc ^= diff[low.bit_length() - 1]
-                mask ^= low
-            if acc:
+            if _xor_rows(diff, mask):
                 raise ValueError("differential does not square to zero")
 
     @property
@@ -99,12 +104,8 @@ class ChainComplex:
         return len(self.labels)
 
     def apply(self, mask: int) -> int:
-        diff, acc = self.differential, 0
-        while mask:
-            low = mask & -mask
-            acc ^= diff[low.bit_length() - 1]
-            mask ^= low
-        return acc
+        """The boundary of the chain whose generators mask selects."""
+        return _xor_rows(self.differential, mask)
 
     def homology_rank(self) -> int:
         return homology_rank(self)
@@ -120,15 +121,6 @@ class ChainComplex:
             {"generators": list(self.labels), "differential": pairs},
             sort_keys=True,
         )
-
-    @staticmethod
-    def from_json(text: str) -> "ChainComplex":
-        data = json.loads(text)
-        labels = tuple(data["generators"])
-        diff = [0] * len(labels)
-        for i, j in data["differential"]:
-            diff[i] ^= 1 << j
-        return ChainComplex(labels, tuple(diff))
 
 
 def zero_complex(labels) -> ChainComplex:
@@ -158,12 +150,7 @@ class ChainMap:
             if mask >> n:  # a bit past n, or a negative mask
                 raise NotAChainMap(f"matrix row {i} out of range")
         for i, mask in enumerate(self.source.differential):
-            md = 0
-            while mask:
-                low = mask & -mask
-                md ^= matrix[low.bit_length() - 1]
-                mask ^= low
-            if md != self.target.apply(matrix[i]):
+            if _xor_rows(matrix, mask) != self.target.apply(matrix[i]):
                 raise NotAChainMap(f"fails to commute on generator {i}")
 
 

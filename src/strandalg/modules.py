@@ -36,7 +36,8 @@ class ModuleFormatError(InputError):
     element), ``invalid`` (unknown or duplicate generators, an idempotent
     that is not k distinct arcs of the algebra, an entry that runs off an
     idempotent, an idempotent argument, an unknown type, a malformed surface
-    or a bad k) or ``mismatch`` (modules over different algebras paired)."""
+    or a bad k) or ``mismatch`` (modules of the wrong kinds, or over
+    different algebras, paired)."""
 
 
 class IdempotentMismatch(ModuleFormatError):
@@ -366,7 +367,9 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
 
     The chains out of y do not depend on x, so they are built once per type D
     generator y that has a partner, fed to every x paired with it, and
-    dropped before the next y."""
+    dropped before the next y.  Wrong kinds or algebras are a "mismatch"."""
+    if not (isinstance(m, TypeAModule) and isinstance(n, TypeDModule)):
+        raise ModuleFormatError("mismatch", "box tensor needs a type A and a type D module, in that order")
     if m.algebra.key != n.algebra.key:
         raise ModuleFormatError("mismatch", "box tensor of modules over different algebras")
     depth = max(m.j_max, 1)
@@ -441,8 +444,11 @@ def mor_complex(m1: TypeAModule, m2: TypeAModule) -> ChainComplex:
     through the finite dual model: the dual type D structure of M1 paired
     against M2.  Soundness requires the non-idempotent part of the algebra to
     be nilpotent and the dual of M1 to satisfy the type D structure equation;
-    both are checked and TruncationUnsound is raised otherwise.
+    both are checked and TruncationUnsound is raised otherwise.  Wrong kinds
+    or algebras are a "mismatch".
     """
+    if not (isinstance(m1, TypeAModule) and isinstance(m2, TypeAModule)):
+        raise ModuleFormatError("mismatch", "morphism complex needs two type A modules")
     if m1.algebra.key != m2.algebra.key:
         raise ModuleFormatError("mismatch", "morphism complex of modules over different algebras")
     nilpotence_order(m1.algebra)

@@ -54,7 +54,7 @@ from math import comb
 from typing import NamedTuple
 
 from .inputs import InputError, as_int
-from .surface import DecoratedSurface, boundary_connected_sum, reverse_orientation
+from .surface import DecoratedSurface, band_token, boundary_connected_sum, reverse_orientation
 
 
 class NotInMatchedSpan(ValueError):
@@ -297,13 +297,12 @@ class Algebra:
     # -- operations ---------------------------------------------------------
 
     def diff_basis(self, i: int) -> frozenset:
+        """d(a_i): the smoothings of a_i's diagrams, as a plain list since no
+        two are equal (two diagrams differ in a marker's start, which a
+        smoothing keeps, and two crossings change different ends)."""
         cached = self._diff.get(i)
         if cached is None:
-            acc: set = set()
-            for d in self._expansions[i]:
-                for res in self._resolutions(d):
-                    acc ^= {res}
-            cached = self.contract(acc)
+            cached = self.contract([res for d in self._expansions[i] for res in self._resolutions(d)])
             self._diff[i] = cached
         return cached
 
@@ -724,20 +723,17 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
     asum = Algebra.from_surface(dsum, k)
     failures: list[str] = []
 
-    pos1, pos2 = _token_positions(ds1), _token_positions(ds2)
-    # sum-algebra position -> (side, position in that summand's algebra)
-    split_pos = [
-        (0, pos1["e" + t[2:]]) if t.startswith("eL") else (1, pos2["e" + t[2:]]) for t in _token_positions(dsum)
-    ]
+    # sum-algebra position -> (side, position in that summand's algebra), by band_token's names
+    split = {band_token(t, "LR"[side]): (side, p) for side, ds in enumerate((ds1, ds2)) for t, p in _token_positions(ds).items()}
+    split_pos = [split[t] for t in _token_positions(dsum)]
 
-    algs1 = {kk: Algebra.from_surface(ds1, kk) for kk in range(0, min(k, n1) + 1)}
-    algs2 = {kk: Algebra.from_surface(ds2, kk) for kk in range(0, min(k, ds2.n_arcs) + 1) if k - kk <= n1}
+    # k1 -> (A1(k1), A2(k - k1)), one entry per summand pair of the direct sum
+    summands = {
+        k1: (Algebra.from_surface(ds1, k1), Algebra.from_surface(ds2, k - k1))
+        for k1 in range(max(0, k - ds2.n_arcs), min(k, n1) + 1)
+    }
 
-    total = sum(
-        algs1[k1].dim * algs2[k - k1].dim
-        for k1 in algs1
-        if (k - k1) in algs2
-    )
+    total = sum(a1.dim * a2.dim for a1, a2 in summands.values())
     if total != asum.dim:
         failures.append(f"dimension {asum.dim} != direct-sum-of-tensors dimension {total}")
 
@@ -768,8 +764,8 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
             break
         b1, b2 = halves
         k1 = len(b1.s)
-        a1, a2 = algs1.get(k1), algs2.get(k - k1)
-        if a1 is None or a2 is None or b1 not in a1.index or b2 not in a2.index:
+        a1, a2 = summands.get(k1, (None, None))
+        if a1 is None or b1 not in a1.index or b2 not in a2.index:
             failures.append(f"{asum.describe(bi)} does not split")
             break
         pair_of.append((k1, a1.index[b1], a2.index[b2]))
@@ -779,12 +775,12 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
     if not failures:
         index_of = {p: bi for bi, p in enumerate(pair_of)}
         # the product rows of each summand pair A1(k1) (x) A2(k - k1)
-        rows = {k1: (algs1[k1].products(), algs2[k - k1].products()) for k1 in algs1 if k - k1 in algs2}
+        rows = {k1: (a1.products(), a2.products()) for k1, (a1, a2) in summands.items()}
         summand_pairs = {k1: (_nonzero_pairs(r1), _nonzero_pairs(r2)) for k1, (r1, r2) in rows.items()}
 
         def d_image(bi):
             k1, i1, i2 = pair_of[bi]
-            a1, a2 = algs1[k1], algs2[k - k1]
+            a1, a2 = summands[k1]
             return {(k1, y, i2) for y in a1.diff_basis(i1)} ^ {(k1, i1, y) for y in a2.diff_basis(i2)}
 
         def m_image(bi, bj):

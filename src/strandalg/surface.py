@@ -153,6 +153,8 @@ def parse_surface(text: str) -> DecoratedSurface:
 
 
 def _validate(ds: DecoratedSurface):
+    if not ds.circles:
+        raise SurfaceError("no-circle", "a surface needs at least one boundary circle")
     seen: dict[str, int] = {}
     for tok in ds.endpoints:
         if not tok.startswith("e"):
@@ -356,6 +358,12 @@ def reverse_orientation(ds: DecoratedSurface) -> DecoratedSurface:
     return make_surface(circles, ds.arcs, ds.face_genus)
 
 
+def band_token(tok: str, side: str) -> str:
+    """boundary_connected_sum's name for token tok of the left ("L") or right
+    ("R") summand: ``e<id>`` becomes ``eL<id>`` or ``eR<id>``, ``z`` stays."""
+    return tok if tok == Z else "e" + side + tok[1:]
+
+
 def boundary_connected_sum(
     ds1: DecoratedSurface, z1: int, ds2: DecoratedSurface, z2: int
 ) -> DecoratedSurface:
@@ -363,7 +371,7 @@ def boundary_connected_sum(
 
     The two host circles merge into one; the consumed marks are replaced by
     fresh marks on either side of the band.  Endpoint identifiers are
-    namespaced ``eL*`` / ``eR*`` so the inputs may share names.
+    renamed by band_token so the inputs may share names.
 
     Genus overrides are not carried over (face indices do not survive the
     merge); inputs with overrides are rejected.
@@ -380,19 +388,16 @@ def boundary_connected_sum(
     c1, n1 = pick(ds1, z1, "left")
     c2, n2 = pick(ds2, z2, "right")
 
-    def rename(tok, side):
-        return tok if tok == Z else "e" + side + tok[1:]
-
     def rest_after(circle, ni, side):
         m = len(circle)
-        return [rename(circle[(ni + k) % m], side) for k in range(1, m)]
+        return [band_token(circle[(ni + k) % m], side) for k in range(1, m)]
 
     merged = tuple([Z] + rest_after(ds2.circles[c2], n2, "R") + [Z] + rest_after(ds1.circles[c1], n1, "L"))
     circles = [merged]
-    circles += [tuple(rename(t, "L") for t in c) for i, c in enumerate(ds1.circles) if i != c1]
-    circles += [tuple(rename(t, "R") for t in c) for i, c in enumerate(ds2.circles) if i != c2]
-    arcs = [(rename(a, "L"), rename(b, "L")) for a, b in ds1.arcs] + [
-        (rename(a, "R"), rename(b, "R")) for a, b in ds2.arcs
+    circles += [tuple(band_token(t, "L") for t in c) for i, c in enumerate(ds1.circles) if i != c1]
+    circles += [tuple(band_token(t, "R") for t in c) for i, c in enumerate(ds2.circles) if i != c2]
+    arcs = [(band_token(a, "L"), band_token(b, "L")) for a, b in ds1.arcs] + [
+        (band_token(a, "R"), band_token(b, "R")) for a, b in ds2.arcs
     ]
     return make_surface(circles, arcs)
 

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from strandalg.acceptance import CRITERIA
 from strandalg.cli import run
 from strandalg.corpus import data_dir
 from strandalg.diagrams import parse_diagram
+from strandalg.inputs import InputError
 from strandalg.strands import Algebra
 from strandalg.surface import parse_surface
 
@@ -190,6 +193,60 @@ def test_pair_and_mor_agree():
     assert status == 0 and rep.results["rank"] == 3
     status, rep = run(["mor", REV_A, TYPE_A, "--rank"])
     assert status == 0 and rep.results["rank"] == 3
+
+
+def test_each_module_file_is_read_once(monkeypatch):
+    """The CLI parses a module from the very text whose hash it records."""
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def counting(self):
+        reads[str(self)] += 1
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    status, rep = run(["pair", TYPE_A, TYPE_D])
+    assert status == 0
+    assert (reads[TYPE_A], reads[TYPE_D]) == (1, 1)
+    assert rep.inputs[TYPE_A] == hashlib.sha256(read_bytes(Path(TYPE_A))).hexdigest()
+
+
+# each subcommand that reads files: (file count, other arguments)
+FILE_COMMANDS = {
+    "validate": (1, []),
+    "algebra": (1, ["--k", "1"]),
+    "op-check": (1, ["--k", "1"]),
+    "slide": (1, ["--arc", "0", "--over", "1", "--end", "e1"]),
+    "hfhat": (1, []),
+    "checkmod": (1, []),
+    "consum": (2, ["--k", "1"]),
+    "euler": (2, []),
+    "pair": (2, []),
+    "mor": (2, []),
+}
+
+
+def _names(cls) -> set:
+    return {cls.__name__}.union(*(_names(sub) for sub in cls.__subclasses__()))
+
+
+def test_every_file_command_on_every_kind_of_file_passes_or_names_a_coded_error():
+    """A surface, a diagram, a type A and a type D module in every slot of
+    every file-reading subcommand: each run passes or fails with one error
+    naming an InputError subclass or TruncationUnsound, never a stray
+    exception of the wrong kind of input."""
+    coded = _names(InputError) | {"TruncationUnsound"}
+    runs, stray = 0, []
+    for command, (arity, extra) in FILE_COMMANDS.items():
+        for paths in itertools.product([TORUS, LENS5, TYPE_A, TYPE_D], repeat=arity):
+            status, rep = run([command, *paths, *extra])
+            failed = [c for c in rep.checks if not c["pass"]]
+            runs += 1
+            if status and not (
+                [c["name"] for c in failed] == ["error"] and failed[0]["detail"].split(":")[0] in coded
+            ):
+                stray.append((command, paths, failed))
+    assert (runs, stray) == (88, [])
 
 
 @pytest.mark.parametrize(

@@ -287,8 +287,16 @@ def test_malformed_diagram_is_a_diagram_error(text, message):
         (_s3_json(regions__0__corners=[[0, 0], [0, 1], [0, 2], [0, 2]]), "corner (0,2) used twice"),
         (_s3_json(regions__0__corners=[[0, 0], [0, 1], [0, 2]]), "each point needs 4"),
         (_s3_json(regions__0__has_z=False), "exactly one basepoint region required"),
+        (
+            '{"genus": -1, "points": [], "regions": [{"corners": [], "has_z": true}, {"corners": []}, {"corners": []}, {"corners": []}]}',
+            "negative diagram or region genus",
+        ),
+        (
+            _s3_json(regions=[{"corners": [[0, 0], [0, 1]], "has_z": True, "genus": -1}, {"corners": [[0, 2]], "genus": 1}, {"corners": [[0, 3]], "genus": 1}]),
+            "negative diagram or region genus",
+        ),
     ],
-    ids=["euler", "curve-index", "corner-range", "corner-twice", "incidences", "basepoint"],
+    ids=["euler", "curve-index", "corner-range", "corner-twice", "incidences", "basepoint", "genus", "region-genus"],
 )
 def test_inconsistent_diagram_is_invalid(text, message):
     with pytest.raises(DiagramError, match=re.escape(message)) as e:

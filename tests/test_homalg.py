@@ -195,11 +195,11 @@ def test_elimination_past_eight_thousand_generators():
     assert gf2_rank_dense(c.differential) == gf2_rank_sparse(c.differential)
 
 
-def test_json_round_trip():
-    c = _algebra_complex(2)
-    c2 = ChainComplex.from_json(c.to_json())
-    assert c2.labels == c.labels
-    assert c2.differential == c.differential
+def test_to_json_output():
+    """to_json writes the labels and the sorted (generator, boundary term)
+    pairs; nothing parses it back."""
+    c = ChainComplex(("a", "b", "c"), (0b110, 0, 0))
+    assert c.to_json() == '{"differential": [[0, 1], [0, 2]], "generators": ["a", "b", "c"]}'
 
 
 def test_homology_rank_function():

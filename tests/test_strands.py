@@ -609,6 +609,23 @@ def test_the_table_stores_no_zero_entry():
     assert (len(pairs), entries) == (275 + 6, 55_528)
 
 
+def test_the_smoothings_of_an_element_are_distinct():
+    """diff_basis hands contract the smoothings of an element's diagrams as a
+    plain list, which is its GF(2) sum only because no smoothing occurs
+    twice; checked on the corpus and on genus 3 at k <= 2."""
+    pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    pairs += [(ds, k) for ds in GENUS3.values() for k in range(3)]
+    elements = smoothings = 0
+    for ds, k in pairs:
+        alg = Algebra.from_surface(ds, k)
+        for i in range(alg.dim):
+            found = [res for d in alg._expansions[i] for res in alg._resolutions(d)]
+            assert len(set(found)) == len(found)
+            elements += 1
+            smoothings += len(found)
+    assert (len(pairs), elements, smoothings) == (275 + 6, 7_357, 2_785)
+
+
 @pytest.mark.parametrize(
     "dropped, owner",
     [

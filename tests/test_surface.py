@@ -54,6 +54,7 @@ def test_parse_circle_without_z_is_rejected_with_distinct_code():
     "text,code",
     [
         ("not json", "syntax"),
+        ('{"circles": [], "arcs": []}', "no-circle"),
         ('{"circles": [["z","e1","e1"]], "arcs": [["e1","e1"]]}', "bad-arc"),
         ('{"circles": [["z","e1","e2","e1"]], "arcs": [["e1","e2"]]}', "duplicate-endpoint"),
         ('{"circles": [["z","e1"]], "arcs": []}', "unmatched-endpoint"),
