@@ -168,15 +168,27 @@ def _check_ends(n: int, op: dict, idem: dict) -> None:
             raise ModuleFormatError("invalid", f"operation {n} ({op['from']!r} -> {op.get('to')!r}): unknown generator {g!r}")
 
 
+def _is_json_text(text: str) -> bool:
+    """Whether a str source is JSON text, not a path: it starts with '{', or
+    it decodes as some other JSON value, which load_module then rejects."""
+    if text.lstrip().startswith("{"):
+        return True
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_module(source, algebra: Algebra | None = None, base_dir=None):
-    """Load a type A or type D module from a JSON file path, text, or dict."""
-    if isinstance(source, (str, Path)):
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            path = Path(source)
-            text = ModuleFormatError.read_text(path, "module: ")
-            base_dir = base_dir or path.parent
-        data = ModuleFormatError.json(text, "module is ")
+    """Load a type A or type D module from a JSON file path, text, or dict.
+    A Path is always a file; a str is JSON text where _is_json_text says so."""
+    if isinstance(source, str) and _is_json_text(source):
+        data = ModuleFormatError.json(source, "module is ")
+    elif isinstance(source, (str, Path)):
+        path = Path(source)
+        data = ModuleFormatError.json(ModuleFormatError.read_text(path, "module: "), "module is ")
+        base_dir = base_dir or path.parent
     else:
         data = source
     kind = ModuleFormatError.field(data, "type", "module")

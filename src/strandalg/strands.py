@@ -11,8 +11,8 @@ rectangle; composition where no strand pair crosses in both factors) and read
 back in the matched basis.
 
 Algebra elements are named by basis index: the tables map an index, or a
-pair of indices, to the frozenset of basis indices of its image (a GF(2)
-sum).  Basis descriptors name them in files and failure witnesses.
+pair of indices, to a frozenset of basis indices, its image (a GF(2) sum).
+Basis descriptors name them in files and failure witnesses.
 
 The product table is the list of rows that Algebra.products() returns: row i
 maps each j to a nonzero a_i * a_j, and a row not filled yet is None.  One
@@ -20,10 +20,12 @@ kernel fills a row, for products() and mul_basis alike: two diagrams compose
 only where the end positions of the first are the start positions of the
 second, and to a nonzero diagram only where no strand pair crosses in both, a
 test of two crossing bitmasks.  It reads each composition's basis element
-from an owner index and counts them per entry; only an entry that is not a sum
-of whole expansions is contracted, to raise its witness.  Every call reads
-the rows as they stand, so the law, isomorphism and module checks see a
-corrupted entry wherever it is.
+from an owner index.  An entry whose compositions are one element's whole
+expansion (every entry on the corpus and genus 3 is) holds the one frozenset
+the algebra shares per basis element; any other entry is contracted, which
+gives the sum or raises its witness.  Every call reads the
+rows as they stand, so the law, isomorphism and module checks see a corrupted
+entry wherever it is.
 
 The differential swaps the ends of crossing strands (p1, q1), (p2, q2),
 p1 < p2 and q1 > q2, where their rectangle is empty: no strand (p, q) has
@@ -148,6 +150,7 @@ class Algebra:
         self._starting_at: dict[int, list] | None = None
         self._owned: dict[int, dict] = {}
         self._sizes: list[int] = []
+        self._single: list[frozenset] = []
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
@@ -274,9 +277,9 @@ class Algebra:
 
         Matched expansions are pairwise disjoint, so membership in the span
         means the support is a disjoint union of full expansions; anything
-        else raises NotInMatchedSpan.  The differential contracts every
-        entry; the row kernel contracts only an entry whose owner count
-        fails, for its witness.
+        else raises NotInMatchedSpan.  The empty sum is the shared _ZERO.
+        The differential contracts every entry; the row kernel contracts only
+        an entry that is not one element's whole expansion.
         """
         rem = set(diagrams)
         out = set()
@@ -292,7 +295,7 @@ class Algebra:
                 raise NotInMatchedSpan(f"expansion of {self.describe(i)} only partially present")
             rem -= exp
             out.add(i)
-        return frozenset(out)
+        return frozenset(out) if out else _ZERO
 
     # -- operations ---------------------------------------------------------
 
@@ -339,14 +342,15 @@ class Algebra:
         starts, two diagrams of a_i differ in a marker's start, and distinct
         right diagrams give distinct step maps.  So the compositions of an
         entry are distinct, and those with owner o are distinct diagrams of
-        o's expansion.  The entry is then in the matched span exactly where
-        every composition has an owner and each owner o is counted
-        len(expansion of o) times, and it is the set of those owners; no
-        entry sums to zero.  So the row is filled by reading each
-        composition's owner from the owner index (start mask -> ends in start
-        order -> basis index) and tallying owners per entry.  Only an entry
-        whose tally fails is composed in full and passed to contract, which
-        raises its witness."""
+        o's expansion, the only diagrams the owner index gives to o.  Where
+        all of an entry's compositions have one owner o and there are
+        len(expansion of o) of them, they are exactly o's expansion: the
+        entry is a_o, stored as o's shared set _single[o].  The row is filled
+        by reading each composition's owner from the owner index (start mask
+        -> ends in start order -> basis index).  Every other entry, a sum of
+        two or more elements or a corrupted one, is composed in full and
+        passed to contract, which returns the sum or raises its witness; no
+        entry sums to zero, since its compositions are distinct."""
         if self._starting_at is None:
             self._index_diagrams()
         acc: dict[int, list] = {}
@@ -357,13 +361,12 @@ class Algebra:
             for j, step, right in self._starting_at.get(sum(1 << q for q in ends), ()):
                 if not left & right:
                     acc.setdefault(j, []).append(owned.get(ends_of(step)))
-        row = {}
+        row, single, sizes = {}, self._single, self._sizes
         for j in sorted(acc):
-            # no owner is counted more often than its expansion size, so the
-            # counts all equal the sizes exactly where their sums do
-            owners = frozenset(acc[j])
-            if None not in owners and len(acc[j]) == sum(map(self._sizes.__getitem__, owners)):
-                row[j] = owners
+            found = acc[j]
+            o = found[0]
+            if o is not None and found.count(o) == len(found) == sizes[o]:
+                row[j] = single[o]
             else:
                 row[j] = self.contract(self._compositions(i, j))
         self._rows[i] = row
@@ -374,11 +377,13 @@ class Algebra:
         start-side crossing mask)] over every expansion diagram), the owner
         index _owned (start mask -> ends in start order -> basis index, keyed
         as operator.itemgetter returns them: a tuple, or for one strand the
-        end itself) and _sizes (expansion size by basis index).  The owner
-        index takes its owners from _owner, but leaves out a diagram that
-        _owner gives to an element whose expansion lacks it."""
+        end itself), _sizes (expansion size by basis index) and _single (the
+        one-element frozenset of each basis index).  The owner index takes
+        its owners from _owner, but leaves out a diagram that _owner gives to
+        an element whose expansion lacks it."""
         self._starting_at, self._owned = {}, {}
         self._sizes = [len(exp) for exp in self._expansions]
+        self._single = [frozenset((z,)) for z in range(self.dim)]
         key = operator.itemgetter(*range(self.k)) if self.k else _no_ends
         for j, exp in enumerate(self._expansions):
             for d in exp:

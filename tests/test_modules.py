@@ -611,6 +611,18 @@ def test_malformed_module_is_a_format_error(name, edit, code, message, tmp_path)
         assert (e.value.__cause__ is None) == ("lacks field" in message or "field 'alg' is not a" in message)
 
 
+@pytest.mark.parametrize("text", ["[]", "null", "3", ' ["type"] '], ids=["list", "null", "int", "padded"])
+def test_json_text_that_is_not_an_object_is_not_read_as_a_path(text, tmp_path):
+    """A JSON value other than an object is rejected alike as text, as a
+    file and parsed; the text is not taken for a path."""
+    path = tmp_path / "module.json"
+    path.write_text(text)
+    for source in (text, path, str(path), json.loads(text)):
+        with pytest.raises(ModuleFormatError, match="^module is not an object$") as e:
+            load_module(source)
+        assert e.value.code == "syntax"
+
+
 MODULE_FILES = {f.name: json.loads(f.read_text()) for f in sorted((data_dir() / "modules").glob("*.json"))}
 
 # JSON values a mutation writes: junk, and values that look like the fields

@@ -609,6 +609,41 @@ def test_the_table_stores_no_zero_entry():
     assert (len(pairs), entries) == (275 + 6, 55_528)
 
 
+def test_every_entry_is_one_shared_basis_element(monkeypatch):
+    """On the corpus and on genus 3 at k <= 2, every product entry is one
+    element's whole expansion: the fill never falls back to contract, and a
+    filled table holds no more distinct entry objects than basis elements."""
+    calls = []
+    contract = Algebra.contract
+    monkeypatch.setattr(Algebra, "contract", lambda alg, diagrams: calls.append(1) or contract(alg, diagrams))
+    pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    pairs += [(ds, k) for ds in GENUS3.values() for k in range(3)]
+    entries = 0
+    for ds, k in pairs:
+        alg = Algebra.from_surface(ds, k)
+        rows = alg.products()
+        objects = {id(p) for row in rows for p in row.values()}
+        assert len(objects) <= alg.dim
+        entries += sum(map(len, rows))
+    assert not calls
+    assert (len(pairs), entries) == (275 + 6, 55_528)
+
+
+def test_a_failed_count_fills_the_row_through_contract(monkeypatch):
+    """An owner whose expansion size reads one too many fails the fast path
+    at every entry it owns; contract still fills those entries exactly."""
+    fresh = Algebra.from_surface(TORUS, 2).products()
+    alg = Algebra.from_surface(TORUS, 2)
+    i, (o,) = next((i, p) for i, row in enumerate(fresh) for p in row.values() if len(alg._expansions[min(p)]) > 1)
+    alg._index_diagrams()
+    alg._sizes[o] += 1
+    calls = []
+    contract = alg.contract
+    monkeypatch.setattr(alg, "contract", lambda diagrams: calls.append(1) or contract(diagrams))
+    assert alg._fill_row(i) == fresh[i]
+    assert len(calls) == sum(p == {o} for p in fresh[i].values()) >= 1
+
+
 def test_the_smoothings_of_an_element_are_distinct():
     """diff_basis hands contract the smoothings of an element's diagrams as a
     plain list, which is its GF(2) sum only because no smoothing occurs
