@@ -644,6 +644,20 @@ def test_a_failed_count_fills_the_row_through_contract(monkeypatch):
     assert len(calls) == sum(p == {o} for p in fresh[i].values()) >= 1
 
 
+def test_the_fast_path_reads_every_owner_of_an_entry():
+    """One diagram of a two-diagram element o given to another two-diagram
+    element in the owner index makes entries of two owners, whose count
+    matches the first owner's size whichever comes first.  Each must still
+    be contracted, from the uncorrupted _owner, to the fresh table's entry."""
+    fresh = Algebra.from_surface(TORUS, 2).products()
+    alg = Algebra.from_surface(TORUS, 2)
+    alg._index_diagrams()
+    o, other = [z for z in range(alg.dim) if alg._sizes[z] == 2][:2]
+    d = max(alg._expansions[o])
+    alg._owned[sum(1 << p for p, _ in d)][tuple(q for _, q in d)] = other
+    assert alg.products() == fresh
+
+
 def test_the_smoothings_of_an_element_are_distinct():
     """diff_basis hands contract the smoothings of an element's diagrams as a
     plain list, which is its GF(2) sum only because no smoothing occurs
