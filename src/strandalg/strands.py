@@ -23,9 +23,9 @@ test of two crossing bitmasks.  It reads each composition's basis element
 from an owner index.  An entry whose compositions are one element's whole
 expansion (every entry on the corpus and genus 3 is) holds the one frozenset
 the algebra shares per basis element; any other entry is contracted, which
-gives the sum or raises its witness.  Every call reads the
-rows as they stand, so the law, isomorphism and module checks see a corrupted
-entry wherever it is.
+gives the sum or raises its witness.  Every call reads the rows as they
+stand, so the law, isomorphism and module checks see a corrupted entry
+wherever it is.
 
 The differential swaps the ends of crossing strands (p1, q1), (p2, q2),
 p1 < p2 and q1 > q2, where their rectangle is empty: no strand (p, q) has
