@@ -47,8 +47,10 @@ from .strands import (
     NotInMatchedSpan,
     check_algebra,
     consum_check,
+    consum_failures,
     directedness_check,
     opposite_check,
+    opposite_failures,
 )
 from .surface import (
     DecoratedSurface,

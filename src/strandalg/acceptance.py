@@ -22,9 +22,9 @@ from .strands import (
     Algebra,
     brute_force_dimension,
     check_algebra,
-    consum_check,
+    consum_failures,
     directedness_check,
-    opposite_check,
+    opposite_failures,
 )
 from .surface import analyze_surface, arc_slide, boundary_connected_sum, slide_options
 
@@ -79,8 +79,7 @@ def opposite_algebras():
     failures = []
     for name, ds in corpus.corpus_surfaces():
         for k in range(ds.n_arcs + 1):
-            ok, witnesses = opposite_check(ds, k, verbose=True)
-            if not ok:
+            if witnesses := opposite_failures(ds, k):
                 failures.append(f"{name} k={k}: " + "; ".join(witnesses[:2]))
     return _verdict(failures)
 
@@ -99,8 +98,7 @@ def connected_sums():
     ]
     failures = []
     for label, a, b, k in pairs:
-        ok, witnesses = consum_check(a, b, k, verbose=True)
-        if not ok:
+        if witnesses := consum_failures(a, b, k):
             failures.append(f"{label} k={k}: " + "; ".join(witnesses[:2]))
     dim = Algebra.from_surface(boundary_connected_sum(torus, 0, torus, 0), 2).dim
     return _verdict(failures + _mismatches([("dim A(T#T, 2)", dim, 78)]))

@@ -40,9 +40,9 @@ from .strands import (
     LAWS,
     Algebra,
     check_algebra,
-    consum_check,
+    consum_failures,
     directedness_check,
-    opposite_check,
+    opposite_failures,
 )
 from .surface import analyze_surface, arc_slide, parse_surface, serialize_surface
 
@@ -143,8 +143,8 @@ def _cmd_algebra(args, report):
         for name in law_names:
             report.add_check(name, rep.laws[name], "; ".join(rep.law_failures[name][:1]))
     if "op" in which:
-        ok, failures = opposite_check(ds, args.k, verbose=True)
-        report.add_check("opposite", ok, "; ".join(failures[:1]))
+        failures = opposite_failures(ds, args.k)
+        report.add_check("opposite", not failures, "; ".join(failures[:1]))
     if "directed" in which:
         report.results["directed"] = directedness_check(ds, args.k)
     if args.dump:
@@ -154,15 +154,15 @@ def _cmd_algebra(args, report):
 
 def _cmd_op_check(args, report):
     ds = _load_surface(report, args.surface)
-    ok, failures = opposite_check(ds, args.k, verbose=True)
-    report.add_check("opposite", ok, "; ".join(failures[:2]))
+    failures = opposite_failures(ds, args.k)
+    report.add_check("opposite", not failures, "; ".join(failures[:2]))
 
 
 def _cmd_consum(args, report):
     ds1 = _load_surface(report, args.surface1)
     ds2 = _load_surface(report, args.surface2)
-    ok, failures = consum_check(ds1, ds2, args.k, args.z1, args.z2, verbose=True)
-    report.add_check("connected-sum", ok, "; ".join(failures[:2]))
+    failures = consum_failures(ds1, ds2, args.k, args.z1, args.z2)
+    report.add_check("connected-sum", not failures, "; ".join(failures[:2]))
 
 
 def _cmd_slide(args, report):

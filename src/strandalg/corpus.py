@@ -199,6 +199,8 @@ def solid_torus_typeA(alg: Algebra | None = None) -> TypeAModule:
 def filling_typeD(q: int, alg: Algebra | None = None) -> TypeDModule:
     """Type D model of the q-framed solid torus filling: one arc-0 generator
     feeding a chain of q arc-1 generators."""
+    if q < 0:
+        raise ValueError("framing must be >= 0")
     alg = alg or torus_algebra()
     i0, i1 = (0,), (1,)
     if q == 0:

@@ -57,6 +57,8 @@ class TruncationUnsound(RuntimeError):
 
 def _check_idempotents(alg: Algebra, generators, idem: dict) -> None:
     for x in generators:
+        if x not in idem:
+            raise ModuleFormatError("invalid", f"generator {x!r} has no idempotent")
         if idem[x] not in alg.by_source:
             raise ModuleFormatError("invalid", f"idempotent of {x!r} is not k={alg.k} distinct arcs of the algebra: {list(idem[x])}")
 
@@ -72,10 +74,16 @@ class TypeDModule:
     delta: dict
 
     def __post_init__(self):
-        basis = self.algebra.basis
+        basis, dim, known = self.algebra.basis, self.algebra.dim, set(self.generators)
         _check_idempotents(self.algebra, self.generators, self.idem)
+        if extra := self.delta.keys() - known:
+            raise ModuleFormatError("invalid", f"delta of undeclared generators: {', '.join(sorted(map(repr, extra)))}")
         for x in self.generators:
             for a, y in self.delta.get(x, frozenset()):
+                if y not in known:
+                    raise ModuleFormatError("invalid", f"delta entry {x!r}->{y!r} ends on an undeclared generator")
+                if not 0 <= a < dim:
+                    raise ModuleFormatError("invalid", f"delta entry {x!r}->{y!r} has basis index {a}, not below dim {dim}")
                 if basis[a].s != self.idem[x]:
                     raise IdempotentMismatch(f"delta entry of {x!r} starts off its idempotent")
                 if basis[a].t != self.idem[y]:
@@ -98,8 +106,14 @@ class TypeAModule:
 
     def __post_init__(self):
         basis, idempotents = self.algebra.basis, self.algebra.idempotent_set
+        dim, known = self.algebra.dim, set(self.generators)
         _check_idempotents(self.algebra, self.generators, self.idem)
         for (x, args), outs in self.ops.items():
+            if x not in known:
+                raise ModuleFormatError("invalid", f"operation on an undeclared generator {x!r}")
+            for a in args:
+                if not 0 <= a < dim:
+                    raise ModuleFormatError("invalid", f"operation on {x!r} has basis index {a}, not below dim {dim}")
             if not idempotents.isdisjoint(args):
                 raise ModuleFormatError("invalid", "idempotent arguments are implicit (strict unitality)")
             if args:
@@ -110,6 +124,8 @@ class TypeAModule:
                         raise IdempotentMismatch(f"operation on {x!r} has a non-composable argument chain")
             tail = basis[args[-1]].t if args else self.idem[x]
             for y in outs:
+                if y not in known:
+                    raise ModuleFormatError("invalid", f"operation {x!r}->{y!r} lands on an undeclared generator")
                 if self.idem[y] != tail:
                     raise IdempotentMismatch(f"operation {x!r}->{y!r} lands off the idempotent")
 

@@ -82,11 +82,13 @@ class BasisElement(NamedTuple):
         return tuple(a for a, c in zip(self.s, self.assign) if c is None)
 
 
-def _basis_element(f_map: dict, assign_map: dict) -> BasisElement:
-    """The basis element sending each source arc i to f_map[i], along the
-    chord assign_map[i] or, where that is None, an identity marker."""
-    s = tuple(sorted(f_map))
-    return BasisElement(s, tuple(sorted(f_map.values())), tuple(f_map[i] for i in s), tuple(assign_map[i] for i in s))
+def _basis_element(moves: dict) -> BasisElement:
+    """The basis element whose moves map each source arc i to (target arc,
+    chord), where a chord of None is the identity marker on arc i."""
+    s = tuple(sorted(moves))
+    f = tuple(moves[i][0] for i in s)
+    assign = tuple(moves[i][1] for i in s)
+    return BasisElement(s, tuple(sorted(f)), f, assign)
 
 
 class Algebra:
@@ -188,7 +190,7 @@ class Algebra:
     def basis_index(self, desc: dict) -> int:
         """Resolve {"chords": [[p, q], ...], "markers": [arc, ...]} to the
         index of a basis element; positions and arcs are JSON integers."""
-        f_map, assign_map = {}, {}
+        moves = {}
         for p, q in desc.get("chords", ()):
             p, q = as_int(p), as_int(q)
             if not (0 <= p < self.n_positions and 0 <= q < self.n_positions):
@@ -196,20 +198,17 @@ class Algebra:
             i, j = self.pos_arc[p], self.pos_arc[q]
             if (p, q) not in self.chords.get((i, j), ()):
                 raise ValueError(f"({p},{q}) is not a chord")
-            if i in assign_map:
+            if i in moves:
                 raise ValueError(f"two chords start on arc {i}")
-            f_map[i] = j
-            assign_map[i] = (p, q)
+            moves[i] = (j, (p, q))
         for a in map(as_int, desc.get("markers", ())):
-            if a in assign_map and assign_map[a] is None:
-                raise ValueError(f"arc {a} marked twice")
-            if a in assign_map:
-                raise ValueError(f"arc {a} both marked and chorded")
-            f_map[a] = a
-            assign_map[a] = None
-        if len(f_map) != self.k:
+            if a in moves:
+                clash = "marked twice" if moves[a][1] is None else "both marked and chorded"
+                raise ValueError(f"arc {a} {clash}")
+            moves[a] = (a, None)
+        if len(moves) != self.k:
             raise ValueError(f"descriptor does not select {self.k} distinct arcs")
-        i = self.index.get(_basis_element(f_map, assign_map))
+        i = self.index.get(_basis_element(moves))
         if i is None:
             raise ValueError("descriptor is not a basis element")
         return i
@@ -252,24 +251,18 @@ class Algebra:
     def interpret(self, diagram) -> BasisElement | None:
         """The unique basis element whose expansion contains the diagram, if
         any."""
-        f_map, assign_map = {}, {}
+        moves = {}
         for p, q in diagram:
             if self.pos_interval[p] != self.pos_interval[q]:
                 return None
             if self.pos_index[p] > self.pos_index[q]:
                 return None
-            i, j = self.pos_arc[p], self.pos_arc[q]
-            if i in assign_map:
+            i = self.pos_arc[p]
+            if i in moves:
                 return None
-            if p == q:
-                f_map[i] = i
-                assign_map[i] = None
-            else:
-                f_map[i] = j
-                assign_map[i] = (p, q)
-        if len(set(f_map.values())) != len(f_map):
-            return None
-        b = _basis_element(f_map, assign_map)
+            moves[i] = (self.pos_arc[q], None if p == q else (p, q))
+        # two strands ending on one arc repeat a target arc: no basis element
+        b = _basis_element(moves)
         return b if b in self.index else None
 
     def contract(self, diagrams) -> frozenset:
@@ -427,7 +420,7 @@ class Algebra:
         return acc
 
     def idempotent_index(self, arcs) -> int:
-        return self.index[_basis_element({a: a for a in arcs}, dict.fromkeys(arcs))]
+        return self.index[_basis_element({a: (a, None) for a in arcs})]
 
     # -- dumps ---------------------------------------------------------------
 
@@ -641,16 +634,20 @@ def _nonzero_pairs(rows) -> list[tuple[int, int]]:
 
 
 def _isomorphism_failures(
-    alg: Algebra, image, d_image, m_image, residue, product_word: str, image_pairs
+    alg: Algebra, image, target_dim: int, d_image, m_image, residue, product_word: str, image_pairs
 ) -> list[str]:
-    """Witnesses that the basis bijection i -> image[i] does not carry the
-    differential and product of alg to d_image(i) and m_image(i, j), both sets
-    of images: the first failing basis element and the first failing pair.
-    residue names a set of images in a witness.
+    """Witnesses that the basis map i -> image[i] is not a bijection onto a
+    basis of target_dim elements, or does not carry the differential and
+    product of alg to d_image(i) and m_image(i, j), both sets of images: the
+    bijection witness alone, or the first failing basis element and the first
+    failing pair.  residue names a set of images in a witness.
 
     image_pairs are the pairs where m_image can be nonzero, so the product
     loop visits the nonzero pairs on either side; both sides are empty at
-    every other pair."""
+    every other pair.  They are read only once the map is a bijection."""
+    n = len(set(image))
+    if n != alg.dim or n != target_dim:
+        return [f"basis map is not a bijection: {alg.dim} elements, {n} distinct images, {target_dim} targets"]
     failures: list[str] = []
     for i in range(alg.dim):
         if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
@@ -667,8 +664,8 @@ def _isomorphism_failures(
 
 
 def opposite_algebra_map(ds: DecoratedSurface, k: int):
-    """(algebra, reversed algebra, basis map): the chord-reversal bijection
-    from the basis of A(surface, k) onto the basis of the reversed surface's
+    """(algebra, reversed algebra, basis map): the chord-reversal map from
+    the basis of A(surface, k) to the basis of the reversed surface's
     algebra, swapping source and target."""
     rds = reverse_orientation(ds)
     alg = Algebra.from_surface(ds, k)
@@ -677,56 +674,49 @@ def opposite_algebra_map(ds: DecoratedSurface, k: int):
     pm = [rpos[t] for t in _token_positions(ds)]
 
     def op_basis(b: BasisElement) -> int:
-        f_map = {}
-        assign_map = {}
-        for i, j, c in zip(b.s, b.f, b.assign):
-            f_map[j] = i
-            assign_map[j] = None if c is None else (pm[c[1]], pm[c[0]])
-        return ralg.index[_basis_element(f_map, assign_map)]
+        moves = {j: (i, None if c is None else (pm[c[1]], pm[c[0]])) for i, j, c in zip(b.s, b.f, b.assign)}
+        return ralg.index[_basis_element(moves)]
 
     return alg, ralg, [op_basis(b) for b in alg.basis]
 
 
-def opposite_check(ds: DecoratedSurface, k: int, verbose: bool = False):
-    """Chord reversal is an isomorphism onto the opposite algebra: it
-    intertwines differentials and transposes every structure constant."""
-    failures: list[str] = []
+def opposite_failures(ds: DecoratedSurface, k: int) -> list[str]:
+    """Witnesses that chord reversal is not an isomorphism onto the opposite
+    algebra, one that intertwines differentials and transposes every
+    structure constant; empty where it is."""
     try:
         alg, ralg, op = opposite_algebra_map(ds, k)
     except KeyError:
-        failures.append("basis reversal is not well defined")
-        return (False, failures) if verbose else False
-    if alg.dim != ralg.dim:
-        failures.append("dimension mismatch")
-    if len(set(op)) != alg.dim:
-        failures.append("basis reversal is not a bijection")
-    if not failures:
-        pre = [0] * alg.dim
-        for i, x in enumerate(op):
-            pre[x] = i
-        rrows = ralg.products()
-        failures = _isomorphism_failures(
-            alg,
-            op,
-            lambda i: ralg.diff_basis(op[i]),
-            lambda i, j: rrows[op[j]].get(op[i], _ZERO),
-            ralg.describe_sum,
-            "transposed",
-            ((pre[v], pre[u]) for u, v in _nonzero_pairs(rrows)),
-        )
-
-    ok = not failures
-    return (ok, failures) if verbose else ok
+        return ["basis reversal is not well defined"]
+    pre = [0] * ralg.dim
+    for i, x in enumerate(op):
+        pre[x] = i
+    rrows = ralg.products()
+    return _isomorphism_failures(
+        alg,
+        op,
+        ralg.dim,
+        lambda i: ralg.diff_basis(op[i]),
+        lambda i, j: rrows[op[j]].get(op[i], _ZERO),
+        ralg.describe_sum,
+        "transposed",
+        ((pre[v], pre[u]) for u, v in _nonzero_pairs(rrows)),
+    )
 
 
-def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int = 0, z2: int = 0, verbose: bool = False):
-    """The algebra of a boundary connected sum is the direct sum over
-    k1 + k2 = k of tensor products of the summand algebras; checked as a
-    basis bijection intertwining differential and product."""
+def opposite_check(ds: DecoratedSurface, k: int) -> bool:
+    """True iff chord reversal is an isomorphism onto the opposite algebra."""
+    return not opposite_failures(ds, k)
+
+
+def consum_failures(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int = 0, z2: int = 0) -> list[str]:
+    """Witnesses that the algebra of a boundary connected sum is not the
+    direct sum over k1 + k2 = k of tensor products of the summand algebras,
+    by a basis bijection intertwining differential and product; empty where
+    it is."""
     dsum = boundary_connected_sum(ds1, z1, ds2, z2)
     n1 = ds1.n_arcs
     asum = Algebra.from_surface(dsum, k)
-    failures: list[str] = []
 
     # sum-algebra position -> (side, position in that summand's algebra), by band_token's names
     split = {band_token(t, "LR"[side]): (side, p) for side, ds in enumerate((ds1, ds2)) for t, p in _token_positions(ds).items()}
@@ -738,81 +728,71 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
         for k1 in range(max(0, k - ds2.n_arcs), min(k, n1) + 1)
     }
 
-    total = sum(a1.dim * a2.dim for a1, a2 in summands.values())
-    if total != asum.dim:
-        failures.append(f"dimension {asum.dim} != direct-sum-of-tensors dimension {total}")
-
     def split_basis(b: BasisElement):
         """Split a sum-algebra basis element into its left/right parts."""
-        parts = {0: ({}, {}), 1: ({}, {})}
+        parts = ({}, {})
         for i, j, c in zip(b.s, b.f, b.assign):
-            side = 0 if i < n1 else 1
-            f_map, assign_map = parts[side]
-            off = 0 if side == 0 else n1
-            if c is None:
-                f_map[i - off] = i - off
-                assign_map[i - off] = None
-            else:
+            side, off = (0, 0) if i < n1 else (1, n1)
+            if c is not None:
                 sd1, p = split_pos[c[0]]
                 sd2, q = split_pos[c[1]]
                 if sd1 != side or sd2 != side:
                     return None
-                f_map[i - off] = j - off
-                assign_map[i - off] = (p, q)
-        return [_basis_element(*parts[side]) for side in (0, 1)]
+                c = (p, q)
+            parts[side][i - off] = (j - off, c)
+        return [_basis_element(moves) for moves in parts]
 
     pair_of: list[tuple[int, int, int]] = []  # (k1, index in A1, index in A2)
     for bi, b in enumerate(asum.basis):
         halves = split_basis(b)
         if halves is None:
-            failures.append(f"{asum.describe(bi)} mixes sides")
-            break
+            return [f"{asum.describe(bi)} mixes sides"]
         b1, b2 = halves
         k1 = len(b1.s)
         a1, a2 = summands.get(k1, (None, None))
         if a1 is None or b1 not in a1.index or b2 not in a2.index:
-            failures.append(f"{asum.describe(bi)} does not split")
-            break
+            return [f"{asum.describe(bi)} does not split"]
         pair_of.append((k1, a1.index[b1], a2.index[b2]))
-    if len(set(pair_of)) != asum.dim:
-        failures.append("basis bijection is not injective")
 
-    if not failures:
-        index_of = {p: bi for bi, p in enumerate(pair_of)}
-        # the product rows of each summand pair A1(k1) (x) A2(k - k1)
-        rows = {k1: (a1.products(), a2.products()) for k1, (a1, a2) in summands.items()}
-        summand_pairs = {k1: (_nonzero_pairs(r1), _nonzero_pairs(r2)) for k1, (r1, r2) in rows.items()}
+    index_of = {p: bi for bi, p in enumerate(pair_of)}
+    # the product rows of each summand pair A1(k1) (x) A2(k - k1)
+    rows = {k1: (a1.products(), a2.products()) for k1, (a1, a2) in summands.items()}
+    summand_pairs = {k1: (_nonzero_pairs(r1), _nonzero_pairs(r2)) for k1, (r1, r2) in rows.items()}
 
-        def d_image(bi):
-            k1, i1, i2 = pair_of[bi]
-            a1, a2 = summands[k1]
-            return {(k1, y, i2) for y in a1.diff_basis(i1)} ^ {(k1, i1, y) for y in a2.diff_basis(i2)}
+    def d_image(bi):
+        k1, i1, i2 = pair_of[bi]
+        a1, a2 = summands[k1]
+        return {(k1, y, i2) for y in a1.diff_basis(i1)} ^ {(k1, i1, y) for y in a2.diff_basis(i2)}
 
-        def m_image(bi, bj):
-            k1, i1, i2 = pair_of[bi]
-            l1, j1, j2 = pair_of[bj]
-            if k1 != l1:
-                return set()
-            rows1, rows2 = rows[k1]
-            return {(k1, u, v) for u in rows1[i1].get(j1, _ZERO) for v in rows2[i2].get(j2, _ZERO)}
+    def m_image(bi, bj):
+        k1, i1, i2 = pair_of[bi]
+        l1, j1, j2 = pair_of[bj]
+        if k1 != l1:
+            return set()
+        rows1, rows2 = rows[k1]
+        return {(k1, u, v) for u in rows1[i1].get(j1, _ZERO) for v in rows2[i2].get(j2, _ZERO)}
 
-        failures = _isomorphism_failures(
-            asum,
-            pair_of,
-            d_image,
-            m_image,
-            lambda r: asum.describe_sum(index_of[p] for p in r),
-            "intertwined",
-            (
-                (index_of[k1, i1, i2], index_of[k1, j1, j2])
-                for k1, (pairs1, pairs2) in summand_pairs.items()
-                for i1, j1 in pairs1
-                for i2, j2 in pairs2
-            ),
-        )
+    return _isomorphism_failures(
+        asum,
+        pair_of,
+        sum(a1.dim * a2.dim for a1, a2 in summands.values()),
+        d_image,
+        m_image,
+        lambda r: asum.describe_sum(index_of[p] for p in r),
+        "intertwined",
+        (
+            (index_of[k1, i1, i2], index_of[k1, j1, j2])
+            for k1, (pairs1, pairs2) in summand_pairs.items()
+            for i1, j1 in pairs1
+            for i2, j2 in pairs2
+        ),
+    )
 
-    ok = not failures
-    return (ok, failures) if verbose else ok
+
+def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int = 0, z2: int = 0) -> bool:
+    """True iff the connected-sum algebra is the direct sum of tensor
+    products of the summand algebras (see consum_failures)."""
+    return not consum_failures(ds1, ds2, k, z1, z2)
 
 
 def directedness_check(ds: DecoratedSurface, k: int) -> bool:

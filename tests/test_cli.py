@@ -94,7 +94,7 @@ def test_algebra_all_checks():
 
 
 def test_algebra_op_check_reports_its_first_witness(monkeypatch):
-    monkeypatch.setattr(cli, "opposite_check", lambda ds, k, verbose=False: (False, ["first", "second"]))
+    monkeypatch.setattr(cli, "opposite_failures", lambda ds, k: ["first", "second"])
     status, rep = run(["algebra", TORUS, "--k", "1", "--check", "op"])
     assert status == 1
     assert rep.checks == [{"name": "opposite", "pass": False, "detail": "first"}]

@@ -13,6 +13,7 @@ from strandalg.corpus import (
     filling_reversed_typeA,
     filling_typeD,
     load_bundled_pairings,
+    slope_diagram,
     solid_torus_typeA,
     torus_algebra,
     torus_decoration,
@@ -442,6 +443,21 @@ def test_module_files_round_trip():
             assert m2.ops == m.ops
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: filling_typeD(-1), "framing must be >= 0"),
+        (lambda: slope_diagram(0), "slope must be >= 1"),
+        (lambda: filling_reversed_typeA(9), "bundled fillings cover q = 0..5"),
+    ],
+    ids=["filling-typeD", "slope-diagram", "filling-reversed-typeA"],
+)
+def test_corpus_builders_reject_a_framing_out_of_range(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as e:
+        build()
+    assert type(e.value) is ValueError
+
+
 def test_bundled_files_resolve_their_algebra():
     m = load_module(data_dir() / "modules" / "solid_torus_typeA.json")
     assert m.algebra.k == 1 and m.algebra.n_arcs == 2
@@ -505,9 +521,22 @@ def _load_edited(edit):
          "invalid", "idempotent arguments are implicit"),
         (lambda: mor_complex(solid_torus_typeA(), algebra_as_module(Algebra.from_surface(disc_with_arc(), 1))),
          "mismatch", "morphism complex of modules over different algebras"),
+        (lambda: TypeDModule(ALG, ("v",), {"v": I0}, {"v": frozenset([(chord(0, 2), "y")])}),
+         "invalid", "delta entry 'v'->'y' ends on an undeclared generator"),
+        (lambda: TypeDModule(ALG, ("v",), {"v": I0}, {"y": frozenset()}), "invalid", "delta of undeclared generators: 'y'"),
+        (lambda: TypeDModule(ALG, ("v", "x"), {"v": I0}, {}), "invalid", "generator 'x' has no idempotent"),
+        (lambda: TypeAModule(ALG, ("x",), {"x": I0}, {("y", ()): frozenset("x")}),
+         "invalid", "operation on an undeclared generator 'y'"),
+        (lambda: TypeAModule(ALG, ("x",), {"x": I0}, {("x", ()): frozenset("y")}),
+         "invalid", "operation 'x'->'y' lands on an undeclared generator"),
+        (lambda: TypeDModule(ALG, ("v",), {"v": I0}, {"v": frozenset([(ALG.dim, "v")])}),
+         "invalid", "delta entry 'v'->'v' has basis index 8, not below dim 8"),
+        (lambda: TypeAModule(ALG, ("x",), {"x": I0}, {("x", (ALG.dim,)): frozenset("x")}),
+         "invalid", "operation on 'x' has basis index 8, not below dim 8"),
     ],
     ids=["type", "off-idempotent", "idempotent-repeat", "idempotent-range", "generators-int", "operations-int",
-         "from-list", "name-list", "duplicate", "idempotent-size", "idempotent-argument", "mor-mismatch"],
+         "from-list", "name-list", "duplicate", "idempotent-size", "idempotent-argument", "mor-mismatch",
+         "delta-target", "delta-source", "no-idempotent", "op-source", "op-target", "delta-label-range", "op-label-range"],
 )
 def test_module_error_codes(build, code, message):
     with pytest.raises(ModuleFormatError, match=re.escape(message)) as e:

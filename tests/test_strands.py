@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strandalg import strands
 from strandalg.corpus import (
     corpus_surfaces,
     disc,
@@ -22,9 +23,11 @@ from strandalg.strands import (
     brute_force_dimension,
     check_algebra,
     consum_check,
+    consum_failures,
     directedness_check,
     opposite_algebra_map,
     opposite_check,
+    opposite_failures,
 )
 from strandalg.surface import make_surface
 
@@ -781,9 +784,9 @@ def _build_torus_as(alg, monkeypatch):
 
 
 def _opposite_of(alg, monkeypatch):
-    """opposite_check(TORUS, k) run against the given torus algebra."""
+    """opposite_failures(TORUS, k) run against the given torus algebra."""
     _build_torus_as(alg, monkeypatch)
-    return opposite_check(TORUS, alg.k, verbose=True)
+    return opposite_failures(TORUS, alg.k)
 
 
 @pytest.mark.parametrize(
@@ -830,7 +833,7 @@ def test_corrupted_product_is_caught(k, left, right, witness, opposite, monkeypa
     assert witness in rep.failures
     assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
 
-    assert _opposite_of(alg, monkeypatch) == (False, [opposite])
+    assert _opposite_of(alg, monkeypatch) == [opposite]
 
 
 @pytest.mark.parametrize(
@@ -876,7 +879,7 @@ def test_corrupted_differential_is_caught(k, target, flip, witness, opposite, mo
     assert witness in rep.failures
     assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
 
-    assert _opposite_of(alg, monkeypatch) == (False, [opposite])
+    assert _opposite_of(alg, monkeypatch) == [opposite]
 
 
 @pytest.mark.parametrize(
@@ -1004,7 +1007,7 @@ def test_corrupted_summand_fails_consum_check(corrupt, witness, monkeypatch):
     alg = _filled_torus(1)
     corrupt(alg)
     _build_torus_as(alg, monkeypatch)
-    assert consum_check(TORUS, DISC1, 1, verbose=True) == (False, [witness])
+    assert consum_failures(TORUS, DISC1, 1) == [witness]
 
 
 def test_created_summand_product_fails_consum_check(monkeypatch):
@@ -1016,10 +1019,28 @@ def test_created_summand_product_fails_consum_check(monkeypatch):
     assert not alg._rows[i].get(i)
     alg._rows[i][i] = frozenset([i])
     _build_torus_as(alg, monkeypatch)
-    assert consum_check(TORUS, DISC1, 1, verbose=True) == (
-        False,
-        [
-            'product not intertwined at ({"chords": [[2, 4]], "markers": []}, {"chords": [[2, 4]], "markers": []}): '
-            'residue [{"chords": [[2, 4]], "markers": []}]'
-        ],
-    )
+    assert consum_failures(TORUS, DISC1, 1) == [
+        'product not intertwined at ({"chords": [[2, 4]], "markers": []}, {"chords": [[2, 4]], "markers": []}): '
+        'residue [{"chords": [[2, 4]], "markers": []}]'
+    ]
+
+
+def test_opposite_map_with_a_repeated_index_is_one_bijection_witness(monkeypatch):
+    """A reversal map that sends two basis elements to one is reported by the
+    bijection witness alone, before any law is compared."""
+    alg, ralg, op = opposite_algebra_map(TORUS, 1)
+    op[1] = op[0]
+    monkeypatch.setattr(strands, "opposite_algebra_map", lambda ds, k: (alg, ralg, op))
+    assert opposite_failures(TORUS, 1) == ["basis map is not a bijection: 8 elements, 7 distinct images, 8 targets"]
+    assert not opposite_check(TORUS, 1)
+
+
+def test_colliding_summand_index_is_one_bijection_witness(monkeypatch):
+    """A summand algebra whose index gives two basis elements one number
+    makes the connected-sum split non-injective: one bijection witness."""
+    alg = Algebra.from_surface(TORUS, 1)
+    a, b = alg.basis[:2]
+    alg.index[b] = alg.index[a]
+    _build_torus_as(alg, monkeypatch)
+    assert consum_failures(TORUS, DISC1, 1) == ["basis map is not a bijection: 10 elements, 9 distinct images, 10 targets"]
+    assert not consum_check(TORUS, DISC1, 1)
