@@ -189,13 +189,8 @@ def cf_hat(d: ClosedDiagram) -> ChainComplex:
     index = {g: i for i, g in enumerate(gens)}
     gen_sets = [frozenset(g) for g in gens]
 
-    moves = []
-    for r in d.regions:
-        if r.has_z:
-            continue
-        interior = _interior_points(d, r)
-        for src, tgt in _region_moves(d, r):
-            moves.append((src, tgt, interior))
+    # interior points only for a region that yields a move
+    moves = [(src, tgt, _interior_points(d, r)) for r in d.regions if not r.has_z for src, tgt in _region_moves(d, r)]
 
     diff = []
     for gs in gen_sets:

@@ -14,6 +14,15 @@ Algebra elements are named by basis index: the tables map an index, or a
 pair of indices, to a frozenset of basis indices, its image (a GF(2) sum).
 Basis descriptors name them in files and failure witnesses.
 
+Each fact about an expansion diagram is computed once.  Building the algebra
+enumerates only realizable basis elements and makes each element's index,
+expansion and owner entries in one loop.  The first row fill indexes every
+diagram in one pass, as a right factor (start mask, step map, start-side
+crossing mask) and as a left factor (end-side crossing mask, owner dict),
+then lists once per tuple of ends the right diagrams that compose with a
+left diagram ending there, with the owner key of each composition.  It runs
+then, not at build, so a table corrupted before it is indexed as it stands.
+
 The product table is the list of rows that Algebra.products() returns: row i
 maps each j to a nonzero a_i * a_j, and a row not filled yet is None.  One
 kernel fills a row, for products() and mul_basis alike: two diagrams compose
@@ -134,15 +143,17 @@ class Algebra:
                     self.chords[key] += ((p, q),)
 
         self.basis: tuple[BasisElement, ...] = tuple(self._enumerate_basis())
-        self.index: dict[BasisElement, int] = {b: i for i, b in enumerate(self.basis)}
+        self.index: dict[BasisElement, int] = {}
         # source idempotent -> ascending basis indices with that source; a
         # product a_i * a_j can be nonzero only for j in by_source[t(a_i)]
         self.by_source: dict[tuple, list[int]] = {}
-        for i, b in enumerate(self.basis):
-            self.by_source.setdefault(b.s, []).append(i)
-        self._expansions: list[frozenset] = [self._expand(b) for b in self.basis]
+        self._expansions: list[frozenset] = []
         self._owner: dict[tuple, int] = {}
-        for i, exp in enumerate(self._expansions):
+        for i, b in enumerate(self.basis):
+            self.index[b] = i
+            self.by_source.setdefault(b.s, []).append(i)
+            exp = self._expand(b)
+            self._expansions.append(exp)
             for d in exp:
                 self._owner[d] = i
         self._diff: dict[int, frozenset] = {}
@@ -150,6 +161,7 @@ class Algebra:
         self._rows: list[dict[int, frozenset] | None] = [None] * self.dim
         # the diagram indexes of the row kernel, built on its first use
         self._starting_at: dict[int, list] | None = None
+        self._left: list[list[tuple]] = []
         self._owned: dict[int, dict] = {}
         self._sizes: list[int] = []
         self._single: list[frozenset] = []
@@ -160,22 +172,23 @@ class Algebra:
 
     # -- basis -------------------------------------------------------------
 
-    def _options(self, i: int, j: int):
-        opts = [(p, q) for (p, q) in self.chords.get((i, j), ())]
-        if i == j:
-            opts.append(None)  # the identity marker
-        return opts
-
     def _enumerate_basis(self):
-        arcs = range(self.n_arcs)
-        for s in itertools.combinations(arcs, self.k):
-            for t in itertools.combinations(arcs, self.k):
-                for image in itertools.permutations(t):
-                    pools = [self._options(i, j) for i, j in zip(s, image)]
-                    if any(not pool for pool in pools):
-                        continue
-                    for assign in itertools.product(*pools):
-                        yield BasisElement(s, t, image, assign)
+        """The basis, source set by source set, in the order of a scan over
+        every target set t, every f among the permutations of t, and every
+        chord choice.  The chord-or-marker pool of each arc pair is gathered
+        once per build.  Only realizable elements are made: f extends arc by
+        arc of s to target arcs still free that the arc has a chord or marker
+        to, and the f of a source block are sorted by (t, f)."""
+        pools = {(i, i): (None,) for i in range(self.n_arcs)}  # None: the identity marker
+        for ij, chords in self.chords.items():
+            pools[ij] = chords + pools.get(ij, ())
+        for s in itertools.combinations(range(self.n_arcs), self.k):
+            fs = [()]
+            for i in s:
+                fs = [f + (j,) for f in fs for j in range(self.n_arcs) if (i, j) in pools and j not in f]
+            for t, f in sorted((tuple(sorted(f)), f) for f in fs):
+                for assign in itertools.product(*[pools[ij] for ij in zip(s, f)]):
+                    yield BasisElement(s, t, f, assign)
 
     @functools.cached_property
     def idempotent_set(self) -> frozenset[int]:
@@ -230,12 +243,11 @@ class Algebra:
     # -- strand diagrams ----------------------------------------------------
 
     def _expand(self, b: BasisElement) -> frozenset:
+        if None not in b.assign:  # no marker: one diagram
+            return frozenset((tuple(sorted(b.assign)),))
         fixed = [c for c in b.assign if c is not None]
-        choice_arcs = b.marked
-        out = []
-        for pick in itertools.product(*(self.arc_positions[a] for a in choice_arcs)):
-            out.append(tuple(sorted(fixed + [(p, p) for p in pick])))
-        return frozenset(out)
+        spots = [[(p, p) for p in self.arc_positions[a]] for a, c in zip(b.s, b.assign) if c is None]
+        return frozenset([tuple(sorted(fixed + list(pick))) for pick in itertools.product(*spots)])
 
     def _resolutions(self, diagram):
         """Smooth each crossing of a start-sorted diagram whose rectangle
@@ -314,10 +326,11 @@ class Algebra:
         """Bit a * n_positions + b per crossing strand pair with ends a < b on
         side 0 (starts) or 1 (ends).  Positions run interval by interval, so
         strands in different intervals never cross."""
-        mask = 0
-        for s1, s2 in itertools.combinations(diagram, 2):
-            if (s1[0] - s2[0]) * (s1[1] - s2[1]) < 0:
-                mask |= 1 << (min(s1[side], s2[side]) * self.n_positions + max(s1[side], s2[side]))
+        n, mask = self.n_positions, 0
+        for (p1, q1), (p2, q2) in itertools.combinations(diagram, 2):
+            if (p1 - p2) * (q1 - q2) < 0:
+                a, b = (q1, q2) if side else (p1, p2)
+                mask |= 1 << (a * n + b if a < b else b * n + a)
         return mask
 
     def _fill_row(self, i: int) -> dict[int, frozenset]:
@@ -339,21 +352,22 @@ class Algebra:
         all of an entry's compositions have one owner o and there are
         len(expansion of o) of them, they are exactly o's expansion: the
         entry is a_o, stored as o's shared set _single[o].  The row is filled
-        by reading each composition's owner from the owner index (start mask
-        -> ends in start order -> basis index).  Every other entry, a sum of
-        two or more elements or a corrupted one, is composed in full and
-        passed to contract, which returns the sum or raises its witness; no
-        entry sums to zero, since its compositions are distinct."""
+        from the left records that _index_diagrams made for a_i's diagrams on
+        the first fill, whose crossing masks and owner keys are already
+        tested and read: each composition's owner is looked up in the left
+        diagram's owner dict.  Every other entry, a sum of two or more
+        elements or a corrupted one, is composed in full and passed to
+        contract, which returns the sum or raises its witness; no entry sums
+        to zero, since its compositions are distinct."""
         if self._starting_at is None:
             self._index_diagrams()
         acc: dict[int, list] = {}
-        for d in self._expansions[i]:
-            ends, left = tuple(q for _, q in d), self._crossings(d, 1)
-            owned = self._owned.get(sum(1 << p for p, _ in d), {})
-            ends_of = operator.itemgetter(*ends) if ends else _no_ends
-            for j, step, right in self._starting_at.get(sum(1 << q for q in ends), ()):
-                if not left & right:
-                    acc.setdefault(j, []).append(owned.get(ends_of(step)))
+        for (_, js, keys), owned in self._left[i]:
+            for j, o in zip(js, map(owned.get, keys)):
+                if j in acc:
+                    acc[j].append(o)
+                else:
+                    acc[j] = [o]
         row, single, sizes = {}, self._single, self._sizes
         for j in sorted(acc):
             found = acc[j]
@@ -366,26 +380,59 @@ class Algebra:
         return row
 
     def _index_diagrams(self) -> None:
-        """Build _starting_at (start mask -> [(j, end by start position,
-        start-side crossing mask)] over every expansion diagram), the owner
-        index _owned (start mask -> ends in start order -> basis index, keyed
-        as operator.itemgetter returns them: a tuple, or for one strand the
-        end itself), _sizes (expansion size by basis index) and _single (the
-        one-element frozenset of each basis index).  The owner index takes
-        its owners from _owner, but leaves out a diagram that _owner gives to
-        an element whose expansion lacks it."""
-        self._starting_at, self._owned = {}, {}
+        """Build the row kernel's indexes in one pass over every expansion
+        diagram, on the first fill (so a table corrupted before it is indexed
+        as it stands):
+
+        - _starting_at: start mask -> [(j, end by start position, start-side
+          crossing mask)];
+        - _owned, the owner index: start mask -> ends in start order -> basis
+          index, keyed as operator.itemgetter returns them (a tuple, or for
+          one strand the end itself).  It takes its owners from _owner, but
+          leaves out a diagram that _owner gives to an element whose
+          expansion lacks it;
+        - _left: per basis index, one record per diagram of its expansion,
+          in expansion order: ((end-side crossing mask, js, keys), the _owned
+          dict of its start mask).  js are the basis indexes of the right
+          diagrams that start at its ends and cross no strand pair it
+          crosses, in _starting_at order, and keys the owner keys of the
+          compositions.  The first part depends only on the ends in start
+          order, so it is made once per ends tuple and shared, and js and
+          keys are read once _starting_at is whole;
+        - _sizes (expansion size by basis index) and _single (the
+          one-element frozenset of each basis index)."""
+        self._starting_at, self._owned, self._left = {}, {}, []
         self._sizes = [len(exp) for exp in self._expansions]
         self._single = [frozenset((z,)) for z in range(self.dim)]
         key = operator.itemgetter(*range(self.k)) if self.k else _no_ends
+        shapes: dict[tuple, tuple] = {}
+        owner_keys: dict = {}  # one object per owner key, shared by _owned and the left records
         for j, exp in enumerate(self._expansions):
+            records = []
             for d in exp:
-                starts, step = sum(1 << p for p, _ in d), [0] * self.n_positions
+                starts, step = 0, [0] * self.n_positions
                 for p, q in d:
-                    step[p] = q
-                self._starting_at.setdefault(starts, []).append((j, step, self._crossings(d, 0)))
+                    step[p], starts = q, starts | 1 << p
+                ends, owned = tuple([q for _, q in d]), self._owned.setdefault(starts, {})
+                if (shape := shapes.get(ends)) is None:
+                    shape = shapes[ends] = (self._crossings(d, 1), [], [])
+                # a strand pair crosses on both sides or on neither, and step is
+                # a tuple of ints, which the garbage collector stops tracking
+                right = self._crossings(d, 0) if shape[0] else 0
+                self._starting_at.setdefault(starts, []).append((j, tuple(step), right))
                 if self._owner.get(d) == j:
-                    self._owned.setdefault(starts, {})[key(tuple(q for _, q in d))] = j
+                    kk = key(ends)
+                    owned[owner_keys.setdefault(kk, kk)] = j
+                records.append((shape, owned))
+            self._left.append(records)
+        # the right factors of each ends tuple, read once _starting_at is whole
+        for ends, (left, js, keys) in shapes.items():
+            ends_of = operator.itemgetter(*ends) if ends else _no_ends
+            for j, step, right in self._starting_at.get(sum(1 << q for q in ends), ()):
+                if not left & right:
+                    kk = ends_of(step)
+                    js.append(j)
+                    keys.append(owner_keys.get(kk, kk))
 
     def _compositions(self, i: int, j: int) -> list:
         """The composed diagrams whose sum is a_i * a_j."""
@@ -455,6 +502,15 @@ def _interval_arcs(ds: DecoratedSurface) -> tuple:
         arc_of[a] = i
         arc_of[b] = i
     return tuple(tuple(arc_of[t] for t in iv) for iv in ds.intervals())
+
+
+def _algebra_of(ds: DecoratedSurface, k: int, algebra: Algebra | None) -> Algebra:
+    """algebra where given, else a new A(ds, k); an algebra that is not
+    A(ds, k) raises ValueError."""
+    alg = algebra if algebra is not None else Algebra.from_surface(ds, k)
+    if alg.key != (_interval_arcs(ds), k):
+        raise ValueError(f"algebra is not the algebra of this surface at k={k}")
+    return alg
 
 
 @dataclass
@@ -599,9 +655,7 @@ def check_algebra(ds: DecoratedSurface, k: int, checks=tuple(LAWS), algebra: Alg
     tables instead of building it again."""
     if unknown := sorted(set(checks) - LAWS.keys()):
         raise ValueError(f"unknown law(s) {unknown}")
-    alg = algebra if algebra is not None else Algebra.from_surface(ds, k)
-    if alg.key != (_interval_arcs(ds), k):
-        raise ValueError(f"algebra is not the algebra of this surface at k={k}")
+    alg = _algebra_of(ds, k, algebra)
     rows = fill_error = None
     if any(name in checks for name in _ROW_LAWS):
         try:
@@ -663,12 +717,12 @@ def _isomorphism_failures(
     return failures
 
 
-def opposite_algebra_map(ds: DecoratedSurface, k: int):
+def opposite_algebra_map(ds: DecoratedSurface, k: int, algebra: Algebra | None = None):
     """(algebra, reversed algebra, basis map): the chord-reversal map from
-    the basis of A(surface, k) to the basis of the reversed surface's
-    algebra, swapping source and target."""
+    the basis of A(surface, k), the given one or a new one, to the basis of
+    the reversed surface's algebra, swapping source and target."""
+    alg = _algebra_of(ds, k, algebra)
     rds = reverse_orientation(ds)
-    alg = Algebra.from_surface(ds, k)
     ralg = Algebra.from_surface(rds, k)
     rpos = _token_positions(rds)
     pm = [rpos[t] for t in _token_positions(ds)]
@@ -680,12 +734,13 @@ def opposite_algebra_map(ds: DecoratedSurface, k: int):
     return alg, ralg, [op_basis(b) for b in alg.basis]
 
 
-def opposite_failures(ds: DecoratedSurface, k: int) -> list[str]:
+def opposite_failures(ds: DecoratedSurface, k: int, algebra: Algebra | None = None) -> list[str]:
     """Witnesses that chord reversal is not an isomorphism onto the opposite
     algebra, one that intertwines differentials and transposes every
-    structure constant; empty where it is."""
+    structure constant; empty where it is.  Pass `algebra` to check an
+    already built A(ds, k) and reuse its filled tables."""
     try:
-        alg, ralg, op = opposite_algebra_map(ds, k)
+        alg, ralg, op = opposite_algebra_map(ds, k, algebra)
     except KeyError:
         return ["basis reversal is not well defined"]
     pre = [0] * ralg.dim
@@ -795,10 +850,11 @@ def consum_check(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: int =
     return not consum_failures(ds1, ds2, k, z1, z2)
 
 
-def directedness_check(ds: DecoratedSurface, k: int) -> bool:
+def directedness_check(ds: DecoratedSurface, k: int, algebra: Algebra | None = None) -> bool:
     """True iff each hom(D_s, D_s) is spanned by its idempotent and the
-    quiver of nonzero off-diagonal hom spaces is acyclic."""
-    alg = Algebra.from_surface(ds, k)
+    quiver of nonzero off-diagonal hom spaces is acyclic, read from the
+    basis of `algebra` where given, else of a new A(ds, k)."""
+    alg = _algebra_of(ds, k, algebra)
     edges: dict[tuple, set] = {}
     for i, b in enumerate(alg.basis):
         if i in alg.idempotent_set:

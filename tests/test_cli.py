@@ -13,7 +13,7 @@ from strandalg.corpus import data_dir
 from strandalg.diagrams import parse_diagram
 from strandalg.inputs import InputError
 from strandalg.strands import Algebra
-from strandalg.surface import parse_surface
+from strandalg.surface import parse_surface, reverse_orientation
 
 DATA = data_dir()
 TORUS = str(DATA / "surfaces" / "torus.json")
@@ -93,8 +93,25 @@ def test_algebra_all_checks():
     assert {"d2", "leibniz", "assoc", "closure", "idempotents", "opposite"} <= names
 
 
+def test_algebra_all_checks_builds_the_algebra_once(monkeypatch):
+    """The laws, the opposite check and directedness all read the one A(ds, k)
+    the command builds; the opposite check adds only the reversed algebra."""
+    ds = parse_surface(Path(TORUS).read_text())
+    keys = [Algebra.from_surface(s, 1).key for s in (ds, reverse_orientation(ds))]
+    init, built = Algebra.__init__, []
+
+    def counting(self, interval_arcs, k):
+        init(self, interval_arcs, k)
+        built.append(self.key)
+
+    monkeypatch.setattr(Algebra, "__init__", counting)
+    status, _ = run(["algebra", TORUS, "--k", "1", "--check", "all"])
+    assert status == 0
+    assert built == keys
+
+
 def test_algebra_op_check_reports_its_first_witness(monkeypatch):
-    monkeypatch.setattr(cli, "opposite_failures", lambda ds, k: ["first", "second"])
+    monkeypatch.setattr(cli, "opposite_failures", lambda ds, k, algebra=None: ["first", "second"])
     status, rep = run(["algebra", TORUS, "--k", "1", "--check", "op"])
     assert status == 1
     assert rep.checks == [{"name": "opposite", "pass": False, "detail": "first"}]

@@ -19,6 +19,7 @@ from strandalg.corpus import (
 )
 from strandalg.strands import (
     Algebra,
+    BasisElement,
     NotInMatchedSpan,
     brute_force_dimension,
     check_algebra,
@@ -271,6 +272,30 @@ def test_genus3_dimensions_against_brute_force(name, k):
     assert brute_force_dimension(GENUS3[name], k) == GENUS3_DIMS[name][k]
 
 
+def _reference_basis(alg):
+    """The basis by a scan over every source set s, target set t, bijection f
+    among the permutations of t, and chord choice, realizable or not."""
+    arcs, out = range(alg.n_arcs), []
+    for s in itertools.combinations(arcs, alg.k):
+        for t in itertools.combinations(arcs, alg.k):
+            for image in itertools.permutations(t):
+                pools = [[*alg.chords.get((i, j), ()), *([None] if i == j else [])] for i, j in zip(s, image)]
+                out += [BasisElement(s, t, image, assign) for assign in itertools.product(*pools)]
+    return tuple(out)
+
+
+def test_basis_matches_the_reference_scan():
+    """The enumeration of realizable elements gives the reference scan's
+    elements in the reference scan's order, on every corpus (surface, k) and
+    at genus 3 for k <= 3."""
+    pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    pairs += [(ds, k) for ds in GENUS3.values() for k in range(4)]
+    for ds, k in pairs:
+        alg = Algebra.from_surface(ds, k)
+        assert alg.basis == _reference_basis(alg)
+    assert len(pairs) == 275 + 8
+
+
 def test_dimension_formula_matches_chord_table():
     # dim = sum over (s, t, f) of the product of chord-option counts
     for ds in (TORUS, double_cover_decoration(1)):
@@ -510,6 +535,43 @@ def test_crossing_masks_match_the_inversion_recount():
     assert pairs == 30_729
 
 
+def test_precomputed_masks_match_the_crossing_rule():
+    """The row kernel's indexes hold each expansion diagram once: under its
+    start mask, its start-side crossing mask; in its left record, the owner
+    dict of its start mask, its end-side crossing mask, and the right
+    diagrams it composes with (those that start at its ends and cross no
+    pair it crosses) with the owner key of each composition, in
+    _starting_at order.  Checked on the corpus and on genus 3 at k <= 2."""
+    pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    pairs += [(ds, k) for ds in GENUS3.values() for k in range(3)]
+    diagrams = hits = 0
+    for ds, k in pairs:
+        alg = Algebra.from_surface(ds, k)
+        alg._index_diagrams()
+        for j, exp in enumerate(alg._expansions):
+            assert len(alg._left[j]) == len(exp)
+            for d, ((left, js, keys), owned) in zip(exp, alg._left[j]):
+                assert left == alg._crossings(d, 1)
+                assert owned is alg._owned[sum(1 << p for p, _ in d)]
+                ends = [q for _, q in d]
+                composable = [
+                    (jj, tuple(step[q] for q in ends))
+                    for jj, step, right in alg._starting_at.get(sum(1 << q for q in ends), ())
+                    if not left & right
+                ]
+                assert [(jj, kk if isinstance(kk, tuple) else (kk,)) for jj, kk in zip(js, keys)] == composable
+                hits += len(js)
+        starting_at = []
+        for starts, entries in alg._starting_at.items():
+            for j, step, right in entries:
+                d = tuple((p, step[p]) for p in range(alg.n_positions) if starts >> p & 1)
+                assert right == alg._crossings(d, 0)
+                starting_at.append((j, d))
+        assert sorted(starting_at) == sorted((j, d) for j, exp in enumerate(alg._expansions) for d in exp)
+        diagrams += len(starting_at)
+    assert (diagrams, hits) == (8_577 + 3_104, 65_694)
+
+
 def test_rectangle_rule_matches_the_inversion_recount():
     """On every expansion diagram of the corpus, a crossing's rectangle holds
     no other strand exactly where its smoothing drops the inversion count by
@@ -731,6 +793,21 @@ def test_check_algebra_rejects_a_foreign_algebra():
         check_algebra(TORUS, 1, algebra=Algebra.from_surface(TORUS, 2))
     with pytest.raises(ValueError):
         check_algebra(DISC1, 1, algebra=Algebra.from_surface(TORUS, 1))
+
+
+@pytest.mark.parametrize("check", [opposite_failures, directedness_check], ids=["opposite", "directed"])
+def test_a_given_algebra_is_reused_and_a_foreign_one_rejected(check, monkeypatch):
+    """Given A(TORUS, 1), a check builds no second one and gives the verdict
+    it gives on its own; an algebra of another surface or k raises."""
+    alg = Algebra.from_surface(TORUS, 1)
+    build, built = Algebra.from_surface.__func__, []
+    monkeypatch.setattr(Algebra, "from_surface", classmethod(lambda cls, ds, k: built.append((ds, k)) or build(cls, ds, k)))
+    assert check(TORUS, 1, algebra=alg) == check(TORUS, 1)
+    assert built.count((TORUS, 1)) == 1  # the call without an algebra
+    with pytest.raises(ValueError):
+        check(TORUS, 1, algebra=Algebra.from_surface(TORUS, 2))
+    with pytest.raises(ValueError):
+        check(DISC1, 1, algebra=alg)
 
 
 def test_check_algebra_rejects_an_unknown_law():
@@ -1030,7 +1107,7 @@ def test_opposite_map_with_a_repeated_index_is_one_bijection_witness(monkeypatch
     bijection witness alone, before any law is compared."""
     alg, ralg, op = opposite_algebra_map(TORUS, 1)
     op[1] = op[0]
-    monkeypatch.setattr(strands, "opposite_algebra_map", lambda ds, k: (alg, ralg, op))
+    monkeypatch.setattr(strands, "opposite_algebra_map", lambda ds, k, algebra=None: (alg, ralg, op))
     assert opposite_failures(TORUS, 1) == ["basis map is not a bijection: 8 elements, 7 distinct images, 8 targets"]
     assert not opposite_check(TORUS, 1)
 
