@@ -147,7 +147,11 @@ def _cmd_algebra(args, report):
     if "directed" in which:
         report.results["directed"] = directedness_check(ds, args.k, algebra=alg)
     if args.dump:
-        Path(args.dump).write_text(json.dumps(alg.dump(), sort_keys=True) + "\n")
+        for i in range(alg.dim):  # fill the tables first: an engine error leaves no dump file
+            alg.diff_basis(i)
+        alg.products()
+        with open(args.dump, "w") as fp:
+            alg.dump(fp)
         report.results["dump"] = args.dump
 
 

@@ -48,6 +48,10 @@ Leibniz and assoc make one GF(2) pass per left factor: every term of either
 side gives an integer code for its factors and itself, and the codes of odd
 count are the residues.
 
+Algebra.dump(fp) streams the canonical JSON, json.dumps(d, sort_keys=True) +
+"\n" for the dict d of basis, differential, k, n_arcs and product triples,
+one source block and one product row at a time: no copy of the table is held.
+
 Nothing here looks at the complement faces: the algebra depends only on the
 intervals, the positions, and the matching.
 """
@@ -471,25 +475,29 @@ class Algebra:
 
     # -- dumps ---------------------------------------------------------------
 
-    def dump(self) -> dict:
-        """Basis descriptors, differential, and sparse product triples."""
-        diff = [[i, sorted(self.diff_basis(i))] for i in range(self.dim) if self.diff_basis(i)]
-        triples = [[i, j, out] for i, row in enumerate(self.products()) for j in sorted(row) for out in sorted(row[j])]
-        return {
-            "k": self.k,
-            "n_arcs": self.n_arcs,
-            "basis": [
-                {
-                    "source": list(b.s),
-                    "target": list(b.t),
-                    "bijection": list(b.f),
-                    **self.descriptor(b),
-                }
-                for b in self.basis
-            ],
-            "differential": diff,
-            "product": triples,
-        }
+    def dump(self, fp) -> None:
+        """Write json.dumps(d, sort_keys=True) + "\n" to the text file fp, for
+        d = {k, n_arcs, basis, differential: [i, d(a_i)] per nonzero d(a_i),
+        product: [i, j, o] per o in a_i * a_j}, all ascending.  Every value is
+        an int or a list of ints, whose str() is its JSON.  The tables are
+        filled before the first write, so an engine error writes nothing."""
+        diff = ", ".join(f"[{i}, {sorted(d)}]" for i in range(self.dim) if (d := self.diff_basis(i)))
+        rows, sep = self.products(), ""
+        fp.write('{"basis": [')
+        for block in self.by_source.values():
+            fp.write(sep + ", ".join(
+                f'{{"bijection": {list(b.f)}, "chords": {sorted(list(c) for c in b.assign if c is not None)}, '
+                f'"markers": {list(b.marked)}, "source": {list(b.s)}, "target": {list(b.t)}}}'
+                for b in map(self.basis.__getitem__, block)))
+            sep = ", "
+        fp.write(f'], "differential": [{diff}], "k": {self.k}, "n_arcs": {self.n_arcs}, "product": [')
+        sep = ""
+        for i, row in enumerate(rows):
+            if row:
+                fp.write(sep + ", ".join(
+                    f"[{i}, {j}, {o}]" for j in sorted(row) for o in (row[j] if len(row[j]) == 1 else sorted(row[j]))))
+                sep = ", "
+        fp.write("]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +515,11 @@ def _interval_arcs(ds: DecoratedSurface) -> tuple:
 def _algebra_of(ds: DecoratedSurface, k: int, algebra: Algebra | None) -> Algebra:
     """algebra where given, else a new A(ds, k); an algebra that is not
     A(ds, k) raises ValueError."""
-    alg = algebra if algebra is not None else Algebra.from_surface(ds, k)
-    if alg.key != (_interval_arcs(ds), k):
+    if algebra is None:
+        return Algebra.from_surface(ds, k)
+    if algebra.key != (_interval_arcs(ds), k):
         raise ValueError(f"algebra is not the algebra of this surface at k={k}")
-    return alg
+    return algebra
 
 
 @dataclass
@@ -697,7 +706,8 @@ def _isomorphism_failures(
     failing pair.  residue names a set of images in a witness.
 
     image_pairs are the pairs where m_image can be nonzero, so the product
-    loop visits the nonzero pairs on either side; both sides are empty at
+    loop visits the nonzero pairs on either side, row by row, merging a
+    row's two key sets only where they differ; both sides are empty at
     every other pair.  They are read only once the map is a bijection."""
     n = len(set(image))
     if n != alg.dim or n != target_dim:
@@ -707,13 +717,17 @@ def _isomorphism_failures(
         if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
             failures.append(f"differential not intertwined at {alg.describe(i)}: residue {residue(r)}")
             break
-    rows = alg.products()
-    for i, j in sorted(set(_nonzero_pairs(rows)).union(image_pairs)):
-        if r := {image[x] for x in rows[i].get(j, _ZERO)} ^ m_image(i, j):
-            failures.append(
-                f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}"
-            )
-            break
+    image_rows: dict[int, set] = {}
+    for i, j in image_pairs:
+        image_rows.setdefault(i, set()).add(j)
+    for i, row in enumerate(alg.products()):
+        js = image_rows.get(i, _ZERO)
+        for j in sorted(row if row.keys() == js else js.union(row)):
+            if r := {image[x] for x in row.get(j, _ZERO)} ^ m_image(i, j):
+                failures.append(
+                    f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}"
+                )
+                return failures
     return failures
 
 

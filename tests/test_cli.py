@@ -12,7 +12,7 @@ from strandalg.cli import run
 from strandalg.corpus import data_dir
 from strandalg.diagrams import parse_diagram
 from strandalg.inputs import InputError
-from strandalg.strands import Algebra
+from strandalg.strands import Algebra, NotInMatchedSpan
 from strandalg.surface import parse_surface, reverse_orientation
 
 DATA = data_dir()
@@ -148,6 +148,21 @@ def test_algebra_dump(tmp_path):
     assert len(data["basis"]) == 7
     assert data["differential"]  # nonzero differential at k = 2
     assert all(len(t) == 3 for t in data["product"])
+
+
+def test_algebra_dump_writes_no_file_on_an_engine_error(tmp_path, monkeypatch):
+    """The tables are filled before the dump file is opened, so a fill that
+    raises leaves no file behind."""
+
+    def fill_row(self, i):
+        raise NotInMatchedSpan("row kernel failed")
+
+    monkeypatch.setattr(Algebra, "_fill_row", fill_row)
+    out = tmp_path / "out.json"
+    status, rep = run(["algebra", TORUS, "--k", "2", "--dump", str(out)])
+    assert status == 1
+    assert rep.checks == [{"name": "error", "pass": False, "detail": "NotInMatchedSpan: row kernel failed"}]
+    assert not out.exists()
 
 
 def test_op_check():

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -485,9 +486,24 @@ def _reference_laws(alg, checks):
 
 
 def _reference_dump(alg):
-    """dump() with its product triples taken from the all-pairs scan."""
-    triples = [[i, j, out] for i, j in _all_pairs_scan(alg) for out in sorted(alg.mul_basis(i, j))]
-    return json.dumps({**alg.dump(), "product": triples}, sort_keys=True)
+    """The dump as a dict, with its product triples taken from the all-pairs
+    scan: what Algebra.dump writes is this dict's sorted-key JSON."""
+    return {
+        "k": alg.k,
+        "n_arcs": alg.n_arcs,
+        "basis": [
+            {"source": list(b.s), "target": list(b.t), "bijection": list(b.f), **alg.descriptor(b)}
+            for b in alg.basis
+        ],
+        "differential": [[i, sorted(alg.diff_basis(i))] for i in range(alg.dim) if alg.diff_basis(i)],
+        "product": [[i, j, out] for i, j in _all_pairs_scan(alg) for out in sorted(alg.mul_basis(i, j))],
+    }
+
+
+def _dump_text(alg):
+    out = io.StringIO()
+    alg.dump(out)
+    return out.getvalue()
 
 
 ALL_LAWS = ("d2", "leibniz", "assoc", "closure", "idempotents")
@@ -507,7 +523,7 @@ def test_block_index_matches_all_pairs_scan():
         rep = check_algebra(ds, k, checks=laws, algebra=alg)
         assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
         assert rep.ok
-        assert json.dumps(alg.dump(), sort_keys=True) == _reference_dump(alg)
+        assert _dump_text(alg) == json.dumps(_reference_dump(alg), sort_keys=True) + "\n"
         kept = set(products)
         assert not any(alg.mul_basis(i, j) for i, j in scan if (i, j) not in kept)
 
@@ -1121,3 +1137,95 @@ def test_colliding_summand_index_is_one_bijection_witness(monkeypatch):
     _build_torus_as(alg, monkeypatch)
     assert consum_failures(TORUS, DISC1, 1) == ["basis map is not a bijection: 10 elements, 9 distinct images, 10 targets"]
     assert not consum_check(TORUS, DISC1, 1)
+
+
+def _sorted_union_failures(alg, image, target_dim, d_image, m_image, residue, product_word, image_pairs):
+    """The isomorphism comparison as one scan over the sorted union of both
+    sides' nonzero product pairs: the reference for the row-by-row scan."""
+    n = len(set(image))
+    if n != alg.dim or n != target_dim:
+        return [f"basis map is not a bijection: {alg.dim} elements, {n} distinct images, {target_dim} targets"]
+    failures = []
+    for i in range(alg.dim):
+        if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
+            failures.append(f"differential not intertwined at {alg.describe(i)}: residue {residue(r)}")
+            break
+    rows = alg.products()
+    for i, j in sorted({(i, j) for i, row in enumerate(rows) for j in row}.union(image_pairs)):
+        if r := {image[x] for x in rows[i].get(j, frozenset())} ^ m_image(i, j):
+            failures.append(f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}")
+            break
+    return failures
+
+
+def _corrupt_row(alg, count, rng) -> None:
+    """Corrupt count seeded product entries in one seeded row of a filled
+    table, each by a seeded kind: flip a term of a nonzero entry, make a zero
+    composable entry nonzero (its key goes last in the row), flip a term
+    and move the entry last, or delete a nonzero entry where the row has no
+    zero composable entry left."""
+    rows = alg.products()
+    i = rng.choice([i for i, row in enumerate(rows) if row])
+    row = rows[i]
+    zero = [j for j in alg.by_source[alg.basis[i].t] if j not in row]
+    for _ in range(count):
+        kind = rng.randrange(4)
+        if kind == 1 and zero:
+            row[zero.pop(rng.randrange(len(zero)))] = frozenset([rng.randrange(alg.dim)])
+        elif row:
+            j = rng.choice(sorted(row))
+            if kind == 0:
+                row[j] ^= {rng.randrange(alg.dim)}
+            elif kind == 2:
+                row[j] = row.pop(j) ^ {rng.randrange(alg.dim)}
+            else:
+                del row[j]
+
+
+def test_isomorphism_witnesses_match_the_sorted_union_scan(monkeypatch):
+    """One to three seeded corrupted product entries in one row, on either
+    side of the opposite check (A(surface, k) or the reversed algebra) and
+    of the connected-sum check (the sum algebra or a summand algebra), give
+    the first witness that the sorted-union scan gives."""
+    built = {}
+    build = Algebra.from_surface.__func__
+
+    def from_surface(cls, ds, k):
+        if (ds, k) not in built:
+            built[ds, k] = build(cls, ds, k)
+        return built[ds, k]
+
+    monkeypatch.setattr(Algebra, "from_surface", classmethod(from_surface))
+    rng, verdicts = random.Random(28), Counter()
+    cases = [(opposite_failures, (ds, k)) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    dc1 = double_cover_decoration(1)
+    sums = [(DISC1, DISC1, 1), (DISC1, DISC1, 2), (TORUS, disc(), 1), (TORUS, DISC1, 2), (TORUS, TORUS, 2), (dc1, DISC1, 2)]
+    cases += [(consum_failures, args) for args in sums for _ in range(6)]
+    for n, (check, args) in enumerate(cases):
+        built.clear()
+        assert check(*args) == []  # builds and fills every algebra the check reads
+        count, side = 1 + n % 3, n // 3 % len(built)  # side 0: the algebra checked; else the reversed or a summand one
+        _corrupt_row(list(built.values())[side], count, rng)
+        witness = check(*args)
+        with monkeypatch.context() as m:
+            m.setattr(strands, "_isomorphism_failures", _sorted_union_failures)
+            assert check(*args) == witness
+        verdicts[check.__name__, count, side > 0, bool(witness)] += 1
+    # (check, entries corrupted, corrupted side is not the algebra checked, witness found)
+    assert verdicts == {
+        ("opposite_failures", 1, False, False): 2,
+        ("opposite_failures", 1, False, True): 45,
+        ("opposite_failures", 1, True, True): 45,
+        ("opposite_failures", 2, False, False): 5,
+        ("opposite_failures", 2, False, True): 42,
+        ("opposite_failures", 2, True, True): 45,
+        ("opposite_failures", 3, False, True): 46,
+        ("opposite_failures", 3, True, True): 45,
+        ("consum_failures", 1, False, True): 4,
+        ("consum_failures", 1, True, True): 8,
+        ("consum_failures", 2, False, False): 1,
+        ("consum_failures", 2, False, True): 3,
+        ("consum_failures", 2, True, True): 8,
+        ("consum_failures", 3, False, True): 3,
+        ("consum_failures", 3, True, True): 9,
+    }
