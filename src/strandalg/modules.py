@@ -395,7 +395,10 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
 
     The chains out of y do not depend on x, so they are built once per type D
     generator y that has a partner, fed to every x paired with it, and
-    dropped before the next y.  Wrong kinds or algebras are a "mismatch"."""
+    dropped before the next y.  An action depends only on x and the chain's
+    labels, not on the y the chain starts at, so each (x, labels) is
+    evaluated once per call and kept in a dict that the call drops.  Wrong
+    kinds or algebras are a "mismatch"."""
     if not (isinstance(m, TypeAModule) and isinstance(n, TypeDModule)):
         raise ModuleFormatError("mismatch", "box tensor needs a type A and a type D module, in that order")
     if m.algebra.key != n.algebra.key:
@@ -415,7 +418,7 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
             index[x, y] = len(index)
 
     diff = [0] * len(index)
-    evaluate = m.evaluate
+    actions: dict = {}  # (x, chain labels) -> m.evaluate(x, labels), for this call only
     for y in n.generators:
         xs = xs_at.get(n.idem[y])
         if not xs:
@@ -424,7 +427,10 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
         for x in xs:
             mask = 0
             for args, yy in chains:
-                for x2 in evaluate(x, args):
+                outs = actions.get((x, args))
+                if outs is None:
+                    outs = actions[x, args] = m.evaluate(x, args)
+                for x2 in outs:
                     mask ^= 1 << index[x2, yy]
             diff[index[x, y]] = mask
 

@@ -32,13 +32,17 @@ test of two crossing bitmasks.  It reads each composition's basis element
 from an owner index.  An entry whose compositions are one element's whole
 expansion (every entry on the corpus and genus 3 is) holds the one frozenset
 the algebra shares per basis element; any other entry is contracted, which
-gives the sum or raises its witness.  Every call reads the rows as they
-stand, so the law, isomorphism and module checks see a corrupted entry
-wherever it is.
+gives the sum or raises its witness.  The row of a one-diagram element has at
+most one composition per entry, so it is read straight from the left
+record, with no owner count.  Every call reads the rows as they stand, so
+the law, isomorphism and module checks see a corrupted entry wherever it is.
 
 The differential swaps the ends of crossing strands (p1, q1), (p2, q2),
 p1 < p2 and q1 > q2, where their rectangle is empty: no strand (p, q) has
 p1 < p < p2 and q2 < q < q1, so the inversion count drops by exactly one.
+Which pairs those are depends only on a start-sorted diagram's ends in start
+order, so the swaps are found once per tuple of ends, kept in a swap table
+on the algebra, and applied to each diagram inline.
 
 check_algebra runs the laws of LAWS in order.  Each maps the algebra and its
 product rows to failure witnesses; closure, which has no function, holds when
@@ -51,6 +55,8 @@ count are the residues.
 Algebra.dump(fp) streams the canonical JSON, json.dumps(d, sort_keys=True) +
 "\n" for the dict d of basis, differential, k, n_arcs and product triples,
 one source block and one product row at a time: no copy of the table is held.
+Text shared by many entries is made once: a block's source, a bijection's
+head and target, a row's index and each basis index's digits.
 
 Nothing here looks at the complement faces: the algebra depends only on the
 intervals, the positions, and the matching.
@@ -77,6 +83,7 @@ class NotInMatchedSpan(ValueError):
 
 
 _ZERO: frozenset = frozenset()
+_end = operator.itemgetter(1)  # the end of a strand (p, q)
 
 
 def _no_ends(step) -> tuple:
@@ -161,6 +168,8 @@ class Algebra:
             for d in exp:
                 self._owner[d] = i
         self._diff: dict[int, frozenset] = {}
+        # ends in start order -> the swaps that smooth a diagram with those ends
+        self._swap_table: dict[tuple, tuple] = {}
         # the product table: row i maps j to a nonzero a_i * a_j; None until filled
         self._rows: list[dict[int, frozenset] | None] = [None] * self.dim
         # the diagram indexes of the row kernel, built on its first use
@@ -253,16 +262,20 @@ class Algebra:
         spots = [[(p, p) for p in self.arc_positions[a]] for a, c in zip(b.s, b.assign) if c is None]
         return frozenset([tuple(sorted(fixed + list(pick))) for pick in itertools.product(*spots)])
 
-    def _resolutions(self, diagram):
-        """Smooth each crossing of a start-sorted diagram whose rectangle
-        holds no other strand.  Strands run upward within an interval, so
-        (p1, q1) and (p2, q2) with p1 < p2 cross exactly where q1 > q2, and
-        swapping their ends keeps the smoothing sorted."""
-        for x, (p1, q1) in enumerate(diagram):
-            for y in range(x + 1, len(diagram)):
-                p2, q2 = diagram[y]
-                if q1 > q2 and not any(q2 < q < q1 for _, q in diagram[x + 1 : y]):
-                    yield diagram[:x] + ((p1, q2),) + diagram[x + 1 : y] + ((p2, q1),) + diagram[y + 1 :]
+    def _swaps(self, ends: tuple) -> tuple:
+        """The (x, y), x < y, whose ends a start-sorted diagram with these
+        ends in start order swaps to smooth a crossing whose rectangle holds
+        no other strand, stored in the swap table.  Strands run upward within
+        an interval, so (p1, q1) and (p2, q2) with p1 < p2 cross exactly where
+        q1 > q2, the strands between them in start order are those with p1 < p
+        < p2, and swapping their ends keeps the smoothing sorted."""
+        swaps = self._swap_table[ends] = tuple(
+            (x, y)
+            for x, q1 in enumerate(ends)
+            for y in range(x + 1, len(ends))
+            if q1 > (q2 := ends[y]) and not any(q2 < q < q1 for q in ends[x + 1 : y])
+        )
+        return swaps
 
     def interpret(self, diagram) -> BasisElement | None:
         """The unique basis element whose expansion contains the diagram, if
@@ -309,13 +322,25 @@ class Algebra:
     # -- operations ---------------------------------------------------------
 
     def diff_basis(self, i: int) -> frozenset:
-        """d(a_i): the smoothings of a_i's diagrams, as a plain list since no
-        two are equal (two diagrams differ in a marker's start, which a
-        smoothing keeps, and two crossings change different ends)."""
+        """d(a_i): the smoothings of a_i's diagrams, read from the swap table
+        by each diagram's ends and handed to contract as a plain list, since
+        no two are equal (two diagrams differ in a marker's start, which a
+        smoothing keeps, and two crossings change different ends).  An
+        element none of whose diagrams has a swap is _ZERO."""
         cached = self._diff.get(i)
         if cached is None:
-            cached = self.contract([res for d in self._expansions[i] for res in self._resolutions(d)])
-            self._diff[i] = cached
+            table, found = self._swap_table, []
+            for d in self._expansions[i]:
+                ends = tuple(map(_end, d))
+                swaps = table.get(ends)
+                if swaps is None:
+                    swaps = self._swaps(ends)
+                for x, y in swaps:
+                    smoothed = list(d)
+                    (p1, q1), (p2, q2) = d[x], d[y]
+                    smoothed[x], smoothed[y] = (p1, q2), (p2, q1)
+                    found.append(tuple(smoothed))
+            cached = self._diff[i] = self.contract(found) if found else _ZERO
         return cached
 
     def mul_basis(self, i: int, j: int) -> frozenset:
@@ -362,17 +387,34 @@ class Algebra:
         diagram's owner dict.  Every other entry, a sum of two or more
         elements or a corrupted one, is composed in full and passed to
         contract, which returns the sum or raises its witness; no entry sums
-        to zero, since its compositions are distinct."""
+        to zero, since its compositions are distinct.
+
+        Where a_i has one diagram, its one left record gives the row without
+        a count: the right diagrams of one start mask belong to distinct
+        elements (the diagrams of one element differ in start mask), so each
+        j has at most one composition, and the js already ascend.  Its entry
+        is _single[o] where its owner o has one diagram, else contracted.
+        Rows of elements with two or more diagrams gather the owners of each
+        j over all their diagrams and count them as above."""
         if self._starting_at is None:
             self._index_diagrams()
+        records, single, sizes = self._left[i], self._single, self._sizes
+        if len(records) == 1:
+            ((_, js, keys), owned), = records
+            row = {
+                j: single[o] if o is not None and sizes[o] == 1 else self.contract(self._compositions(i, j))
+                for j, o in zip(js, map(owned.get, keys))
+            }
+            self._rows[i] = row
+            return row
         acc: dict[int, list] = {}
-        for (_, js, keys), owned in self._left[i]:
+        for (_, js, keys), owned in records:
             for j, o in zip(js, map(owned.get, keys)):
                 if j in acc:
                     acc[j].append(o)
                 else:
                     acc[j] = [o]
-        row, single, sizes = {}, self._single, self._sizes
+        row = {}
         for j in sorted(acc):
             found = acc[j]
             o = found[0]
@@ -480,22 +522,37 @@ class Algebra:
         d = {k, n_arcs, basis, differential: [i, d(a_i)] per nonzero d(a_i),
         product: [i, j, o] per o in a_i * a_j}, all ascending.  Every value is
         an int or a list of ints, whose str() is its JSON.  The tables are
-        filled before the first write, so an engine error writes nothing."""
+        filled before the first write, so an engine error writes nothing.
+
+        A block's '"source": ..., "target": ' tail is written once per
+        block, and a bijection's '{"bijection": ..., "chords": ' head and
+        its target once per run of elements sharing it; the markers are
+        read from the source and the chord choices.  A product triple is a
+        per-row prefix and the str of each index, made once per dump."""
         diff = ", ".join(f"[{i}, {sorted(d)}]" for i in range(self.dim) if (d := self.diff_basis(i)))
         rows, sep = self.products(), ""
         fp.write('{"basis": [')
-        for block in self.by_source.values():
-            fp.write(sep + ", ".join(
-                f'{{"bijection": {list(b.f)}, "chords": {sorted(list(c) for c in b.assign if c is not None)}, '
-                f'"markers": {list(b.marked)}, "source": {list(b.s)}, "target": {list(b.t)}}}'
-                for b in map(self.basis.__getitem__, block)))
+        for s, block in self.by_source.items():
+            tail, f, texts = f', "source": {list(s)}, "target": ', None, []
+            for b in map(self.basis.__getitem__, block):
+                if b.f != f:  # the elements of one f are adjacent, and f fixes t
+                    f = b.f
+                    head, end = f'{{"bijection": {list(f)}, "chords": ', f"{tail}{list(b.t)}}}"
+                chords = sorted([list(c) for c in b.assign if c is not None])
+                markers = [a for a, c in zip(s, b.assign) if c is None]
+                texts.append(f'{head}{chords}, "markers": {markers}{end}')
+            fp.write(sep + ", ".join(texts))
             sep = ", "
         fp.write(f'], "differential": [{diff}], "k": {self.k}, "n_arcs": {self.n_arcs}, "product": [')
-        sep = ""
+        names, sep = list(map(str, range(self.dim))), ""
         for i, row in enumerate(rows):
             if row:
-                fp.write(sep + ", ".join(
-                    f"[{i}, {j}, {o}]" for j in sorted(row) for o in (row[j] if len(row[j]) == 1 else sorted(row[j]))))
+                pre = f"[{i}, "
+                fp.write(sep + ", ".join([
+                    f"{pre}{names[j]}, {names[o]}]"
+                    for j in sorted(row)
+                    for o in (row[j] if len(row[j]) == 1 else sorted(row[j]))
+                ]))
                 sep = ", "
         fp.write("]}\n")
 

@@ -318,6 +318,20 @@ def test_box_matches_reference_on_random_modules(monkeypatch):
             assert box_tensor(m, n) == _reference_box(m, n)
 
 
+def test_box_evaluates_each_action_once(monkeypatch):
+    """The box tensor asks the type A side for each (x, chain labels) once
+    per call, however many type D generators start such a chain, and the
+    complex still matches the per-pair reference."""
+    m, n = solid_torus_typeA(ALG), filling_typeD(64, ALG)
+    calls = []
+    evaluate = TypeAModule.evaluate
+    monkeypatch.setattr(TypeAModule, "evaluate", lambda self, x, args: calls.append((x, args)) or evaluate(self, x, args))
+    c = box_tensor(m, n)
+    assert len(calls) == len(set(calls)) < sum(1 for y in n.generators for _ in modules._delta_chains(n, y, 1))
+    monkeypatch.undo()
+    assert (c.labels, c.differential) == _reference_box(m, n)
+
+
 def test_box_counts_unit_arrows_without_actions():
     # N has no action (j_max == 0), yet an idempotent-labelled delta arrow
     # still pairs with it through the unit

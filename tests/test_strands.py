@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -528,6 +529,13 @@ def test_block_index_matches_all_pairs_scan():
         assert not any(alg.mul_basis(i, j) for i, j in scan if (i, j) not in kept)
 
 
+def test_the_genus3_k3_dump_keeps_its_digest():
+    """The canonical dump of doublecover_g3 at k=3 (dim 5075), past the
+    reach of the reference-dict check above, hashes as recorded."""
+    text = _dump_text(Algebra.from_surface(GENUS3["doublecover_g3"], 3))
+    assert hashlib.sha256(text.encode()).hexdigest() == "f06c091df58b0673a0a438fc922df179b507e97acb7ba98464f7715ce5e0ba57"
+
+
 def test_crossing_masks_match_the_inversion_recount():
     """On every composed diagram pair of the corpus, the crossing masks over
     the middle positions are disjoint exactly where the inversion counts add,
@@ -588,6 +596,19 @@ def test_precomputed_masks_match_the_crossing_rule():
     assert (diagrams, hits) == (8_577 + 3_104, 65_694)
 
 
+def _resolutions(diagram):
+    """The smoothings of a start-sorted diagram, one per crossing whose
+    rectangle holds no other strand, in crossing order: the per-diagram rule
+    that Algebra's swap table stores per tuple of ends.  Strands run upward
+    within an interval, so (p1, q1) and (p2, q2) with p1 < p2 cross exactly
+    where q1 > q2, and swapping their ends keeps the smoothing sorted."""
+    for x, (p1, q1) in enumerate(diagram):
+        for y in range(x + 1, len(diagram)):
+            p2, q2 = diagram[y]
+            if q1 > q2 and not any(q2 < q < q1 for _, q in diagram[x + 1 : y]):
+                yield diagram[:x] + ((p1, q2),) + diagram[x + 1 : y] + ((p2, q1),) + diagram[y + 1 :]
+
+
 def test_rectangle_rule_matches_the_inversion_recount():
     """On every expansion diagram of the corpus, a crossing's rectangle holds
     no other strand exactly where its smoothing drops the inversion count by
@@ -609,7 +630,7 @@ def test_rectangle_rule_matches_the_inversion_recount():
                     assert empty == (_inversions(alg, smoothing) == inv - 1)
                     if empty:
                         recount.append(smoothing)
-                assert list(alg._resolutions(d)) == recount
+                assert list(_resolutions(d)) == recount
                 diagrams += 1
                 kept += len(recount)
     assert (diagrams, kept) == (8_577, 2_132)
@@ -739,6 +760,66 @@ def test_the_fast_path_reads_every_owner_of_an_entry():
     assert alg.products() == fresh
 
 
+def _counted_row(alg, i):
+    """Row i filled through the accumulate-and-count path for every row, the
+    one the kernel keeps for elements of two or more diagrams: the owners of
+    each j's compositions, gathered over all of a_i's diagrams, give the
+    shared a_o where they are o's whole expansion, and contract gives every
+    other entry, in ascending j."""
+    acc = {}
+    for (_, js, keys), owned in alg._left[i]:
+        for j, o in zip(js, map(owned.get, keys)):
+            acc.setdefault(j, []).append(o)
+    row = {}
+    for j in sorted(acc):
+        found, o = acc[j], acc[j][0]
+        if o is not None and found.count(o) == len(found) == alg._sizes[o]:
+            row[j] = alg._single[o]
+        else:
+            row[j] = alg.contract(alg._compositions(i, j))
+    return row
+
+
+def test_one_diagram_rows_match_the_counted_fill():
+    """Every row, the rows of one-diagram elements filled without an owner
+    count included, equals the accumulate-and-count fill with the same key
+    order, on the corpus and on genus 3 at k <= 2."""
+    pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    pairs += [(ds, k) for ds in GENUS3.values() for k in range(3)]
+    rows = one_diagram = 0
+    for ds, k in pairs:
+        alg = Algebra.from_surface(ds, k)
+        for i, row in enumerate(alg.products()):
+            assert list(row.items()) == list(_counted_row(alg, i).items())
+            rows += 1
+            one_diagram += len(alg._left[i]) == 1
+    assert (len(pairs), rows, one_diagram) == (275 + 6, 7_357, 4_699)
+
+
+def test_a_failed_count_in_a_one_diagram_row_fills_through_contract(monkeypatch):
+    """A size-1 owner whose expansion size reads one too many fails the
+    one-diagram path at every entry it owns in a one-diagram row; contract
+    still fills those entries, and the row equals a fresh algebra's."""
+    ds, k = GENUS3["onedisc_g3"], 2
+    fresh = Algebra.from_surface(ds, k).products()
+    alg = Algebra.from_surface(ds, k)
+    alg._index_diagrams()
+    i, o = next(
+        (i, min(p))
+        for i, row in enumerate(fresh)
+        if len(alg._left[i]) == 1
+        for p in row.values()
+        if alg._sizes[min(p)] == 1
+    )
+    alg._sizes[o] += 1
+    calls = []
+    contract = alg.contract
+    monkeypatch.setattr(alg, "contract", lambda diagrams: calls.append(1) or contract(diagrams))
+    row = alg._fill_row(i)
+    assert list(row.items()) == list(fresh[i].items())
+    assert len(calls) == sum(p == {o} for p in fresh[i].values()) >= 1
+
+
 def test_the_smoothings_of_an_element_are_distinct():
     """diff_basis hands contract the smoothings of an element's diagrams as a
     plain list, which is its GF(2) sum only because no smoothing occurs
@@ -749,11 +830,30 @@ def test_the_smoothings_of_an_element_are_distinct():
     for ds, k in pairs:
         alg = Algebra.from_surface(ds, k)
         for i in range(alg.dim):
-            found = [res for d in alg._expansions[i] for res in alg._resolutions(d)]
+            found = [res for d in alg._expansions[i] for res in _resolutions(d)]
             assert len(set(found)) == len(found)
             elements += 1
             smoothings += len(found)
     assert (len(pairs), elements, smoothings) == (275 + 6, 7_357, 2_785)
+
+
+def test_diff_basis_is_the_contracted_reference_smoothings():
+    """diff_basis, which smooths by the swaps of each diagram's ends, equals
+    contract of the per-diagram reference smoothings on the corpus, on
+    doublecover_g3 at k <= 3 and on onedisc_g3 at k <= 2; no swap table
+    holds a swap that does not cross."""
+    pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    pairs += [(GENUS3["doublecover_g3"], k) for k in range(4)] + [(GENUS3["onedisc_g3"], k) for k in range(3)]
+    elements = nonzero = 0
+    for ds, k in pairs:
+        alg = Algebra.from_surface(ds, k)
+        for i in range(alg.dim):
+            d = alg.diff_basis(i)
+            assert d == alg.contract([res for dd in alg._expansions[i] for res in _resolutions(dd)])
+            elements += 1
+            nonzero += bool(d)
+        assert all(ends[x] > ends[y] for ends, swaps in alg._swap_table.items() for x, y in swaps)
+    assert (len(pairs), elements, nonzero) == (275 + 7, 12_432, 4_023)
 
 
 @pytest.mark.parametrize(
