@@ -10,6 +10,7 @@ so a rejected input names its InputError subclass.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -256,6 +257,7 @@ def _cmd_suite(args, report):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: building it costs more than most runs
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="strandalg")
     common = argparse.ArgumentParser(add_help=False)
@@ -337,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> tuple[int, RunReport]:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     report = RunReport(command=args.cmd)
     t0 = time.perf_counter()
     try:
@@ -355,7 +356,3 @@ def main(argv=None) -> int:
     status, report = run(sys.argv[1:] if argv is None else argv)
     print(report.human())
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -202,17 +202,11 @@ def filling_typeD(q: int, alg: Algebra | None = None) -> TypeDModule:
     if q < 0:
         raise ValueError("framing must be >= 0")
     alg = alg or torus_algebra()
-    i0, i1 = (0,), (1,)
-    if q == 0:
-        return TypeDModule(alg, ("v",), {"v": i0}, {"v": frozenset()})
-    gens = ("v",) + tuple(f"w{i}" for i in range(1, q + 1))
-    idem = {"v": i0, **{f"w{i}": i1 for i in range(1, q + 1)}}
-    delta = {"v": frozenset([(_chord(alg, 2, 3), "w1")])}
-    c13 = _chord(alg, 1, 3)
-    for i in range(1, q):
-        delta[f"w{i}"] = frozenset([(c13, f"w{i + 1}")])
-    delta[f"w{q}"] = frozenset()
-    return TypeDModule(alg, gens, idem, delta)
+    gens = ("v", *[f"w{i}" for i in range(1, q + 1)])  # each name formatted once
+    arrows = [_chord(alg, 2, 3)] + [_chord(alg, 1, 3)] * (q - 1)
+    delta = {x: frozenset([(a, y)]) for x, a, y in zip(gens, arrows, gens[1:])}
+    delta[gens[-1]] = frozenset()
+    return TypeDModule(alg, gens, {"v": (0,), **dict.fromkeys(gens[1:], (1,))}, delta)
 
 
 def filling_reversed_typeA(q: int, alg: Algebra | None = None) -> TypeAModule:

@@ -4,11 +4,14 @@ complexes.
 A diagram is a list of intersection points tagged by (alpha curve, beta
 curve) and a list of regions, each a cyclic corner list of (point, quadrant)
 incidences.  Quadrants 0..3 run cyclically around a point with opposite
-sectors sharing parity: a two-corner region is an embedded bigon from its
-even-quadrant corner to its odd one, a four-corner region is a rectangle from
-the generator holding its even-quadrant diagonal to the one holding the odd
-diagonal.  Away from the basepoint region all regions must be bigons or
-squares ("nice"), which makes the differential a finite count.
+sectors sharing parity.  cf_hat reads each region's move off its corner
+tuple: a bigon moves from its even-quadrant corner to its odd one, two
+distinct points on the same curves; a rectangle moves from its even-quadrant
+diagonal to its odd one only where the even corners sit at tuple positions 0
+and 2 or 1 and 3, each diagonal names two distinct points, and both meet the
+same two alpha and two beta curves.  Away from the basepoint region all
+regions must be bigons or squares ("nice"), which makes the differential a
+finite count.
 """
 
 from __future__ import annotations
@@ -93,31 +96,44 @@ def serialize_diagram(d: ClosedDiagram) -> str:
 
 def validate_diagram(d: ClosedDiagram):
     """Structural consistency: four quadrants per point, each used once, no
-    negative genus, and the assembled surface closes up with the stated genus."""
+    negative genus, and the assembled surface closes up with the stated genus.
+    One pass over the regions, then the first fault in the order genus,
+    point, corner, count, basepoint, Euler is raised."""
     n = len(d.points)
-    if d.genus < 0 or any(r.genus < 0 for r in d.regions):
+    used = bytearray(4 * n)  # used[4 p + q]: corner (p, q) already seen
+    negative, corner_fault = d.genus < 0, None
+    corners = marked = 0
+    euler = len(d.regions) - n
+    for ri, r in enumerate(d.regions):
+        if r.genus:
+            negative = negative or r.genus < 0
+            euler -= 2 * r.genus
+        if r.has_z:
+            marked += 1
+        if corner_fault is None:
+            for p, q in r.corners:
+                if not (0 <= p < n and 0 <= q < 4):
+                    corner_fault = f"region {ri} has a corner out of range"
+                    break
+                k = 4 * p + q
+                if used[k]:
+                    corner_fault = f"corner ({p},{q}) used twice"
+                    break
+                used[k] = 1
+            corners += len(r.corners)
+    if negative:
         raise DiagramError("invalid", "negative diagram or region genus")
     for a, b in d.points:
         if not (0 <= a < d.genus and 0 <= b < d.genus):
             raise DiagramError("invalid", "point tagged with out-of-range curve index")
-    seen = set()
-    for ri, r in enumerate(d.regions):
-        for p, q in r.corners:
-            if not (0 <= p < n) or not (0 <= q < 4):
-                raise DiagramError("invalid", f"region {ri} has a corner out of range")
-            if (p, q) in seen:
-                raise DiagramError("invalid", f"corner ({p},{q}) used twice")
-            seen.add((p, q))
-    if len(seen) != 4 * n:
+    if corner_fault:
+        raise DiagramError("invalid", corner_fault)
+    if corners != 4 * n:
         raise DiagramError("invalid", "inconsistent corner incidences: each point needs 4")
-    if sum(1 for r in d.regions if r.has_z) != 1:
+    if marked != 1:
         raise DiagramError("invalid", "exactly one basepoint region required")
-    euler = sum(1 - 2 * r.genus for r in d.regions) - n
     if euler != 2 - 2 * d.genus:
-        raise DiagramError(
-            "invalid",
-            f"Euler characteristic {euler} does not match genus {d.genus}"
-        )
+        raise DiagramError("invalid", f"Euler characteristic {euler} does not match genus {d.genus}")
 
 
 def enumerate_generators(d: ClosedDiagram):
@@ -132,12 +148,11 @@ def enumerate_generators(d: ClosedDiagram):
     beta = [b for _, b in d.points]
     partial = [()]
     for a in range(d.genus):
-        partial = [
-            chosen + (i,)
-            for chosen in partial
-            for i in by_alpha[a]
-            if beta[i] not in {beta[j] for j in chosen}
-        ]
+        grown = []
+        for chosen in partial:
+            taken = {beta[j] for j in chosen}
+            grown += [chosen + (i,) for i in by_alpha[a] if beta[i] not in taken]
+        partial = grown
     return sorted(tuple(sorted(chosen)) for chosen in partial)
 
 
@@ -148,66 +163,51 @@ def _interior_points(d: ClosedDiagram, r: Region):
     return {p for p, k in count.items() if k == 4}
 
 
-def _region_moves(d: ClosedDiagram, r: Region):
-    """The (source points, target points) swaps a nice z-free region can
-    contribute: bigons move one coordinate, rectangles two (even quadrants
-    mark the source corners)."""
-    cs = r.corners
-    if len(cs) == 2:
-        (p, qp), (q, qq) = cs
-        if p == q or d.points[p] != d.points[q]:
-            return
-        if qp % 2 == 0 and qq % 2 == 1:
-            yield frozenset([p]), frozenset([q])
-        elif qq % 2 == 0 and qp % 2 == 1:
-            yield frozenset([q]), frozenset([p])
-        return
-    if len(cs) != 4:
-        return
-    evens = [i for i, (_, q) in enumerate(cs) if q % 2 == 0]
-    if len(evens) != 2 or (evens[1] - evens[0]) % 2 != 0:
-        return
-    src = frozenset(cs[i][0] for i in evens)
-    tgt = frozenset(cs[i][0] for i in range(4) if i not in evens)
-    if len(src) != 2 or len(tgt) != 2:
-        return
-    sa = {d.points[p][0] for p in src}
-    sb = {d.points[p][1] for p in src}
-    ta = {d.points[p][0] for p in tgt}
-    tb = {d.points[p][1] for p in tgt}
-    if len(sa) == len(sb) == 2 and sa == ta and sb == tb:
-        yield src, tgt
-
-
 def cf_hat(d: ClosedDiagram) -> ChainComplex:
     """The hat Floer complex of a nice diagram: empty embedded bigons and
-    rectangles away from the basepoint."""
+    rectangles away from the basepoint, each region's move read off its
+    corner tuple; where no region moves, every row is 0."""
     validate_diagram(d)
-    if not all(r.has_z or (len(r.corners) in (2, 4) and r.genus == 0) for r in d.regions):
-        raise DiagramError("not-nice", "non-nice region without basepoint")
-    gens = enumerate_generators(d)
-    index = {g: i for i, g in enumerate(gens)}
-    gen_sets = [frozenset(g) for g in gens]
-
-    # interior points only for a region that yields a move
-    moves = [(src, tgt, _interior_points(d, r)) for r in d.regions if not r.has_z for src, tgt in _region_moves(d, r)]
-
-    diff = []
-    for gs in gen_sets:
-        mask = 0
-        for src, tgt, interior in moves:
-            if not src <= gs:
+    points = d.points
+    moves = []
+    for r in d.regions:
+        if r.has_z:
+            continue
+        cs = r.corners
+        if r.genus or len(cs) not in (2, 4):
+            raise DiagramError("not-nice", "non-nice region without basepoint")
+        if len(cs) == 2:
+            (p, qp), (q, qq) = cs
+            if p == q or points[p] != points[q] or qp % 2 == qq % 2:
                 continue
-            rest = gs - src
-            if rest & interior:
-                continue  # a spectator coordinate sits inside the region
-            out = rest | tgt
-            j = index.get(tuple(sorted(out)))
-            if j is not None and len(out) == d.genus:
-                mask ^= 1 << j
-        diff.append(mask)
+            src, tgt = ((p,), (q,)) if qp % 2 == 0 else ((q,), (p,))
+        else:
+            (p0, q0), (p1, q1), (p2, q2), (p3, q3) = cs
+            if not q0 % 2 == q2 % 2 != q1 % 2 == q3 % 2:
+                continue
+            src, tgt = ((p0, p2), (p1, p3)) if q0 % 2 == 0 else ((p1, p3), (p0, p2))
+            if src[0] == src[1] or tgt[0] == tgt[1]:
+                continue
+            (a0, b0), (a1, b1) = points[src[0]], points[src[1]]
+            ta, tb = zip(points[tgt[0]], points[tgt[1]])
+            if a0 == a1 or b0 == b1 or {a0, a1} != set(ta) or {b0, b1} != set(tb):
+                continue
+        moves.append((frozenset(src), frozenset(tgt), _interior_points(d, r)))
 
-    labels = tuple(".".join(f"p{i}" for i in g) for g in gens)
+    gens = enumerate_generators(d)
+    diff = [0] * len(gens)
+    if moves:
+        index = {g: i for i, g in enumerate(gens)}
+        for i, g in enumerate(gens):
+            gs = frozenset(g)
+            for src, tgt, interior in moves:
+                # no move where a spectator coordinate sits inside the region
+                if src <= gs and not (gs - src) & interior:
+                    j = index.get(tuple(sorted((gs - src) | tgt)))
+                    if j is not None:
+                        diff[i] ^= 1 << j
+
+    labels = tuple([".".join([f"p{i}" for i in g]) for g in gens])
     return ChainComplex(labels, tuple(diff))
 
 

@@ -96,8 +96,8 @@ class ChainComplex:
         for i, mask in enumerate(diff):
             if mask >> n:  # a bit past n, or a negative mask
                 raise ValueError(f"differential of generator {i} out of range")
-            if _xor_rows(diff, mask):
-                raise ValueError("differential does not square to zero")
+            if mask and _xor_rows(diff, mask):
+                raise ValueError(f"differential does not square to zero at {self.labels[i]!r}")
 
     @property
     def rank(self) -> int:

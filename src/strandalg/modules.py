@@ -300,7 +300,8 @@ def check_typeD(n: TypeDModule) -> ModuleCheckReport:
                 for c in alg.mul_basis(a, b):
                     acc ^= {(c, z)}
         if acc:
-            failures.append(f"structure equation fails on {x!r}: residue {sorted(acc)}")
+            residue = ", ".join(f"({alg.describe(c)}, {z!r})" for c, z in sorted(acc))
+            failures.append(f"structure equation fails on {x!r}: residue [{residue}]")
     return ModuleCheckReport(failures)
 
 
@@ -345,7 +346,8 @@ def check_typeA(m: TypeAModule, max_inputs: int | None = None) -> ModuleCheckRep
             for args in _composable_chains(alg, m.idem[x], r):
                 res = _relation_terms(m, x, args)
                 if res:
-                    failures.append(f"relation fails on ({x!r}, {args}): residue {sorted(res)}")
+                    inputs = ", ".join(map(alg.describe, args))
+                    failures.append(f"relation fails on ({x!r}, [{inputs}]): residue {sorted(res)}")
                     if len(failures) > 4:
                         return ModuleCheckReport(failures)
     return ModuleCheckReport(failures)
@@ -374,15 +376,15 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
 def _delta_chains(n: TypeDModule, y, depth: int) -> list:
     """Every delta chain out of y of length 0 to depth, as (labels, end);
     DepthExceeded if a chain of length MAX_DEPTH would be extended."""
-    level = [((), y)]
-    chains = list(level)
+    delta = n.delta
+    level = chains = [((), y)]
     for j in range(1, depth + 1):
         if j > MAX_DEPTH:
             raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
-        level = [(args + (a,), y2) for args, yy in level for a, y2 in n.delta_of(yy)]
+        level = [(args + (a,), y2) for args, yy in level for a, y2 in delta.get(yy, ())]
         if not level:
             break
-        chains += level
+        chains = chains + level
     return chains
 
 
@@ -393,49 +395,56 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
     where the type A side has no action, since an idempotent-labelled arrow
     acts by the unit.  If MAX_DEPTH is hit first, DepthExceeded is raised.
 
-    The chains out of y do not depend on x, so they are built once per type D
-    generator y that has a partner, fed to every x paired with it, and
-    dropped before the next y.  An action depends only on x and the chain's
-    labels, not on the y the chain starts at, so each (x, labels) is
-    evaluated once per call and kept in a dict that the call drops.  Wrong
-    kinds or algebras are a "mismatch"."""
+    Pairs are numbered x-major: the pair (x, y) is base[x] + pos[y], where
+    base[x] counts the pairs of the type A generators before x and pos[y] is
+    y's place among the type D generators of its idempotent.  The chains out
+    of y are built once per y that has a partner and fed to every x paired
+    with it.  Each (x, chain labels) is evaluated once per call and kept, in
+    a dict that the call drops, as the bits base[x2] of its outputs x2, which
+    a chain ending at yy shifts by pos[yy].  Outputs off the idempotent of
+    the chain's end (only a module changed after validation has them) are an
+    IdempotentMismatch.  Wrong kinds or algebras are a "mismatch", a complex
+    that does not square to zero "invalid"."""
     if not (isinstance(m, TypeAModule) and isinstance(n, TypeDModule)):
         raise ModuleFormatError("mismatch", "box tensor needs a type A and a type D module, in that order")
     if m.algebra.key != n.algebra.key:
         raise ModuleFormatError("mismatch", "box tensor of modules over different algebras")
     depth = max(m.j_max, 1)
 
-    xs_at: dict = {}
-    ys_at: dict = {}
-    for x in m.generators:
-        xs_at.setdefault(m.idem[x], []).append(x)
+    xs_at, ys_at = {}, {}
     for y in n.generators:
         ys_at.setdefault(n.idem[y], []).append(y)
-    # generator number of each pair (x, y), x-major
-    index = {}
+    pos = {y: i for ys in ys_at.values() for i, y in enumerate(ys)}
+    base, total = {}, 0
     for x in m.generators:
-        for y in ys_at.get(m.idem[x], ()):
-            index[x, y] = len(index)
+        xs_at.setdefault(m.idem[x], []).append(x)
+        base[x], total = total, total + len(ys_at.get(m.idem[x], ()))
 
-    diff = [0] * len(index)
-    actions: dict = {}  # (x, chain labels) -> m.evaluate(x, labels), for this call only
+    diff = [0] * total
+    actions: dict = {}  # (x, chain labels) -> (sum of 1 << base[x2] over outputs x2, their idempotents)
     for y in n.generators:
         xs = xs_at.get(n.idem[y])
         if not xs:
             continue
-        chains = _delta_chains(n, y, depth)
+        chains = [(args, pos[yy], n.idem[yy], yy) for args, yy in _delta_chains(n, y, depth)]
         for x in xs:
             mask = 0
-            for args, yy in chains:
-                outs = actions.get((x, args))
-                if outs is None:
-                    outs = actions[x, args] = m.evaluate(x, args)
-                for x2 in outs:
-                    mask ^= 1 << index[x2, yy]
-            diff[index[x, y]] = mask
+            for args, at, end, yy in chains:
+                hit = actions.get((x, args))
+                if hit is None:
+                    outs = m.evaluate(x, args)
+                    hit = actions[x, args] = (sum(1 << base[x2] for x2 in outs), {m.idem[x2] for x2 in outs})
+                bits, idems = hit
+                if bits and idems != {end}:
+                    raise IdempotentMismatch(f"action of {x!r} on a delta chain lands off the idempotent of its end {yy!r}")
+                mask ^= bits << at
+            diff[base[x] + pos[y]] = mask
 
-    labels = tuple(f"{x}|{y}" for x, y in index)
-    return ChainComplex(labels, tuple(diff))
+    labels = tuple([f"{x}|{y}" for x in m.generators for y in ys_at.get(m.idem[x], ())])
+    try:
+        return ChainComplex(labels, tuple(diff))
+    except ValueError as e:
+        raise ModuleFormatError("invalid", f"box complex: {e}") from e
 
 
 def dual_type_d(m: TypeAModule) -> TypeDModule:

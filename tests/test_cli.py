@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -294,6 +297,29 @@ def test_every_file_command_on_every_kind_of_file_passes_or_names_a_coded_error(
 def test_unknown_arguments_are_rejected(argv):
     with pytest.raises(SystemExit):
         run(argv)
+
+
+def test_one_parser_serves_every_run(tmp_path):
+    """Runs of different subcommands share one parser, built on first use,
+    and each run's report is the one a fresh parser gives."""
+    cli.build_parser.cache_clear()
+    first = [run(["validate", TORUS])[1].to_json(), run(["hfhat", LENS5])[1].to_json()]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    cli.build_parser.cache_clear()
+    again = [run(["hfhat", LENS5])[1].to_json(), run(["validate", TORUS])[1].to_json()]
+    assert again[::-1] == first
+    assert json.loads(first[0])["results"]["genus"] == 1 and json.loads(first[1])["results"]["rank"] == 5
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "strandalg", "validate", TORUS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, cwd=src.parent,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("command: validate") and done.stdout.endswith("result: ok\n")
 
 
 def test_json_reports_are_byte_identical(tmp_path):

@@ -1,7 +1,9 @@
 import gc
 import itertools
 import json
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -88,8 +90,9 @@ def test_bigon_differential_fires():
     assert c.homology_rank() == 0
 
 
-def test_rectangle_differential_fires():
-    d = ClosedDiagram(
+def _rectangle_diagram():
+    """Genus 2, four points, one empty rectangle away from the basepoint."""
+    return ClosedDiagram(
         2,
         ((0, 0), (0, 1), (1, 0), (1, 1)),
         (
@@ -105,7 +108,10 @@ def test_rectangle_differential_fires():
             ),
         ),
     )
-    c = cf_hat(d)
+
+
+def test_rectangle_differential_fires():
+    c = cf_hat(_rectangle_diagram())
     # {p0, p3} -> {p1, p2}, nothing back
     assert c.labels == ("p0.p3", "p1.p2")
     assert c.differential == (0b10, 0)
@@ -382,3 +388,195 @@ def test_cf_hat_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# cf_hat against the per-region move scan it replaced
+
+
+def _reference_validate(d):
+    n = len(d.points)
+    if d.genus < 0 or any(r.genus < 0 for r in d.regions):
+        raise DiagramError("invalid", "negative diagram or region genus")
+    for a, b in d.points:
+        if not (0 <= a < d.genus and 0 <= b < d.genus):
+            raise DiagramError("invalid", "point tagged with out-of-range curve index")
+    seen = set()
+    for ri, r in enumerate(d.regions):
+        for p, q in r.corners:
+            if not (0 <= p < n) or not (0 <= q < 4):
+                raise DiagramError("invalid", f"region {ri} has a corner out of range")
+            if (p, q) in seen:
+                raise DiagramError("invalid", f"corner ({p},{q}) used twice")
+            seen.add((p, q))
+    if len(seen) != 4 * n:
+        raise DiagramError("invalid", "inconsistent corner incidences: each point needs 4")
+    if sum(1 for r in d.regions if r.has_z) != 1:
+        raise DiagramError("invalid", "exactly one basepoint region required")
+    euler = sum(1 - 2 * r.genus for r in d.regions) - n
+    if euler != 2 - 2 * d.genus:
+        raise DiagramError("invalid", f"Euler characteristic {euler} does not match genus {d.genus}")
+
+
+def _reference_generators(d):
+    by_alpha = {a: [] for a in range(d.genus)}
+    for i, (a, _) in enumerate(d.points):
+        by_alpha[a].append(i)
+    beta = [b for _, b in d.points]
+    partial = [()]
+    for a in range(d.genus):
+        partial = [c + (i,) for c in partial for i in by_alpha[a] if beta[i] not in {beta[j] for j in c}]
+    return sorted(tuple(sorted(c)) for c in partial)
+
+
+def _reference_region_moves(d, r):
+    cs = r.corners
+    if len(cs) == 2:
+        (p, qp), (q, qq) = cs
+        if p == q or d.points[p] != d.points[q]:
+            return
+        if qp % 2 == 0 and qq % 2 == 1:
+            yield frozenset([p]), frozenset([q])
+        elif qq % 2 == 0 and qp % 2 == 1:
+            yield frozenset([q]), frozenset([p])
+        return
+    if len(cs) != 4:
+        return
+    evens = [i for i, (_, q) in enumerate(cs) if q % 2 == 0]
+    if len(evens) != 2 or (evens[1] - evens[0]) % 2 != 0:
+        return
+    src = frozenset(cs[i][0] for i in evens)
+    tgt = frozenset(cs[i][0] for i in range(4) if i not in evens)
+    if len(src) != 2 or len(tgt) != 2:
+        return
+    sa = {d.points[p][0] for p in src}
+    sb = {d.points[p][1] for p in src}
+    ta = {d.points[p][0] for p in tgt}
+    tb = {d.points[p][1] for p in tgt}
+    if len(sa) == len(sb) == 2 and sa == ta and sb == tb:
+        yield src, tgt
+
+
+def _reference_cf_hat(d):
+    """The move scan as (labels, differential), before ChainComplex checks it."""
+    from strandalg import diagrams as D
+
+    _reference_validate(d)
+    if not all(r.has_z or (len(r.corners) in (2, 4) and r.genus == 0) for r in d.regions):
+        raise DiagramError("not-nice", "non-nice region without basepoint")
+    gens = _reference_generators(d)
+    index = {g: i for i, g in enumerate(gens)}
+    moves = [(s, t, D._interior_points(d, r)) for r in d.regions if not r.has_z for s, t in _reference_region_moves(d, r)]
+    diff = []
+    for g in gens:
+        gs, mask = frozenset(g), 0
+        for src, tgt, interior in moves:
+            if src <= gs and not (gs - src) & interior:
+                out = (gs - src) | tgt
+                j = index.get(tuple(sorted(out)))
+                if j is not None and len(out) == d.genus:
+                    mask ^= 1 << j
+        diff.append(mask)
+    return tuple(".".join(f"p{i}" for i in g) for g in gens), tuple(diff)
+
+
+def _outcome(fn, d):
+    try:
+        return fn(d)
+    except DiagramError as e:
+        return "DiagramError", e.code, str(e)
+
+
+def _shuffled(rng, d):
+    """d with each point's quadrants permuted and each region's corners
+    rotated or reordered, from rng: the corner incidences stay a valid
+    diagram's, while the parity pattern of every region changes."""
+    perms = [rng.sample(range(4), 4) for _ in d.points]
+    regions = []
+    for r in d.regions:
+        cs = [(p, perms[p][q]) for p, q in r.corners]
+        if rng.random() < 0.5:
+            k = rng.randrange(len(cs))
+            cs = cs[k:] + cs[:k]
+        else:
+            rng.shuffle(cs)
+        regions.append(Region(tuple(cs), r.has_z, r.genus))
+    return ClosedDiagram(d.genus, d.points, tuple(regions))
+
+
+def _random_diagram(rng):
+    """A seeded diagram that validate_diagram accepts but need not come from
+    a surface: random curve tags, and the corners dealt at random into z-free
+    bigons and squares, the basepoint region taking the rest."""
+    genus = rng.randint(1, 3)
+    n = rng.randint(2 * genus - 1, 2 * genus + 3)
+    points = tuple((rng.randrange(genus), rng.randrange(genus)) for _ in range(n))
+    corners = [(p, q) for p in range(n) for q in range(4)]
+    rng.shuffle(corners)
+    regions = []
+    for _ in range(n + 1 - 2 * genus):  # genus-0 regions: Euler gives n + 2 - 2 genus of them
+        size = min(rng.choice((2, 4)), len(corners) - 1)
+        regions.append(Region(tuple(corners[:size])))
+        del corners[:size]
+    regions.insert(rng.randrange(len(regions) + 1), Region(tuple(corners), has_z=True))
+    return ClosedDiagram(genus, points, tuple(regions))
+
+
+def _broken(rng, d):
+    """d with one to three seeded faults, each one that validate_diagram or
+    the niceness test rejects."""
+    genus, points, regions = d.genus, list(d.points), [list(r.corners) for r in d.regions]
+    genera, marks = [r.genus for r in d.regions], [r.has_z for r in d.regions]
+    for _ in range(rng.randint(1, 3)):
+        ri = rng.randrange(len(regions))
+        kind = rng.randrange(8)
+        if kind == 0:
+            genera[ri] = -1
+        elif kind == 1:
+            points[rng.randrange(len(points))] = (genus, 0)
+        elif kind == 2 and regions[ri]:
+            regions[ri][rng.randrange(len(regions[ri]))] = (rng.choice([len(points), -1, 0]), rng.choice([4, -1, 0]))
+        elif kind == 3 and regions[ri]:
+            regions[ri].append(rng.choice(regions[ri]))
+        elif kind == 4 and regions[ri]:
+            regions[ri].pop(rng.randrange(len(regions[ri])))
+        elif kind == 5:
+            marks[ri] = not marks[ri]
+        elif kind == 6:
+            genera[ri] += 1
+        else:  # the basepoint moves to region ri
+            marks = [i == ri for i in range(len(regions))]
+    return ClosedDiagram(genus, tuple(points), tuple(
+        Region(tuple(cs), z, g) for cs, z, g in zip(regions, marks, genera)
+    ))
+
+
+def test_cf_hat_matches_the_move_scan(monkeypatch):
+    """cf_hat gives the (labels, differential) of the per-region move scan,
+    or the same DiagramError code and message, on the corpus, the bigon and
+    rectangle diagrams, their reflections, the slope diagrams up to 64, and
+    seeded quadrant and corner-order shuffles and faults of each; the
+    shuffles reach every parity pattern of the two- and four-corner regions,
+    and moves fire."""
+    from strandalg import diagrams as D
+
+    monkeypatch.setattr(D, "ChainComplex", lambda labels, diff: (labels, diff))
+    base = [fn() for fn in NAMED_DIAGRAMS.values()] + [bigon_diagram(), _rectangle_diagram()]
+    base += [_reflect(d) for d in base] + [slope_diagram(q) for q in range(1, 65)]
+    rng = random.Random(30)
+    small = [d for d in base if len(d.points) <= 8]
+    cases = base + [_shuffled(rng, d) for d in small for _ in range(40)]
+    cases += [_broken(rng, d) for d in small for _ in range(20)]
+    cases += [_random_diagram(rng) for _ in range(2000)]
+    patterns, fired, raised = Counter(), 0, Counter()
+    for d in cases:
+        expected = _outcome(_reference_cf_hat, d)
+        assert _outcome(cf_hat, d) == expected, d
+        if expected[0] == "DiagramError":
+            raised[re.sub(r"-?\d+", "#", expected[2])] += 1
+            continue
+        fired += any(expected[1])
+        patterns.update(tuple(q % 2 for _, q in r.corners) for r in d.regions if not r.has_z)
+    assert all(patterns[p] for n in (2, 4) for p in itertools.product((0, 1), repeat=n))
+    assert fired > 20
+    assert len(raised) == 8, raised  # every fault validate_diagram and the niceness test name

@@ -130,7 +130,8 @@ def _full_product_check_typeA(m, max_inputs=None):
             for args in itertools.product(range(m.algebra.dim), repeat=r):
                 res = _relation_terms(m, x, args)
                 if res:
-                    failures.append(f"relation fails on ({x!r}, {args}): residue {sorted(res)}")
+                    inputs = ", ".join(map(m.algebra.describe, args))
+                    failures.append(f"relation fails on ({x!r}, [{inputs}]): residue {sorted(res)}")
                     if len(failures) > 4:
                         return False, failures
     return not failures, failures
@@ -330,6 +331,46 @@ def test_box_evaluates_each_action_once(monkeypatch):
     assert len(calls) == len(set(calls)) < sum(1 for y in n.generators for _ in modules._delta_chains(n, y, 1))
     monkeypatch.undo()
     assert (c.labels, c.differential) == _reference_box(m, n)
+
+
+def _bad_typeD():
+    """The bundled filling1_typeD plus the arrow v -> (0,2) v: its
+    idempotents match, but the structure equation fails on v."""
+    data = json.loads((data_dir() / "modules" / "filling1_typeD.json").read_text())
+    data["operations"].append({"from": "v", "alg": {"chords": [[0, 2]], "markers": []}, "to": "v"})
+    return load_module(data, algebra=ALG)
+
+
+def test_box_complex_off_d_squared_is_a_coded_error():
+    bad = _bad_typeD()
+    assert check_typeD(bad).failures == [
+        'structure equation fails on \'v\': residue [({"chords": [[0, 3]], "markers": []}, \'w1\')]'
+    ]
+    with pytest.raises(ModuleFormatError) as e:
+        box_tensor(solid_torus_typeA(ALG), bad)
+    assert e.value.code == "invalid"
+    assert str(e.value) == "box complex: differential does not square to zero at 'u0|v'"
+    assert type(e.value.__cause__) is ValueError
+
+
+def test_box_output_off_the_chain_end_idempotent_is_a_mismatch():
+    # an action changed after validation to land on an arc-0 generator where
+    # the chain through (2,3) ends on arc 1
+    m = solid_torus_typeA(ALG)
+    m.ops["u0", (chord(2, 3),)] = frozenset(["c02"])
+    with pytest.raises(IdempotentMismatch, match="action of 'u0' on a delta chain lands off the idempotent of its end 'w1'"):
+        box_tensor(m, filling_typeD(2, ALG))
+
+
+def test_module_witnesses_name_basis_elements_by_descriptor():
+    # (0,1) then (1,2) acts, with no (0,2) action to match
+    m = TypeAModule(
+        ALG, ("x", "y"), {"x": I0, "y": I1}, {("x", (chord(0, 1),)): frozenset(["y"]), ("y", (chord(1, 2),)): frozenset(["x"])}
+    )
+    assert check_typeA(m).failures[0] == (
+        'relation fails on (\'x\', [{"chords": [[0, 1]], "markers": []}, {"chords": [[1, 2]], "markers": []}]): '
+        "residue ['x']"
+    )
 
 
 def test_box_counts_unit_arrows_without_actions():
