@@ -5,13 +5,13 @@ A diagram is a list of intersection points tagged by (alpha curve, beta
 curve) and a list of regions, each a cyclic corner list of (point, quadrant)
 incidences.  Quadrants 0..3 run cyclically around a point with opposite
 sectors sharing parity.  cf_hat reads each region's move off its corner
-tuple: a bigon moves from its even-quadrant corner to its odd one, two
-distinct points on the same curves; a rectangle moves from its even-quadrant
-diagonal to its odd one only where the even corners sit at tuple positions 0
-and 2 or 1 and 3, each diagonal names two distinct points, and both meet the
-same two alpha and two beta curves.  Away from the basepoint region all
-regions must be bigons or squares ("nice"), which makes the differential a
-finite count.
+tuple: a bigon or rectangle whose corner points are distinct and whose
+quadrant parities alternate round the tuple moves from its even-quadrant
+corners to its odd ones.  Those are the empty embedded bigons (2 distinct
+corners) and rectangles (4); a move that does not carry a generator to a
+generator is dropped by the generator lookup.  Away from the basepoint
+region all regions must be bigons or squares ("nice"), which makes the
+differential a finite count.
 """
 
 from __future__ import annotations
@@ -156,19 +156,11 @@ def enumerate_generators(d: ClosedDiagram):
     return sorted(tuple(sorted(chosen)) for chosen in partial)
 
 
-def _interior_points(d: ClosedDiagram, r: Region):
-    count: dict[int, int] = {}
-    for p, _ in r.corners:
-        count[p] = count.get(p, 0) + 1
-    return {p for p, k in count.items() if k == 4}
-
-
 def cf_hat(d: ClosedDiagram) -> ChainComplex:
     """The hat Floer complex of a nice diagram: empty embedded bigons and
     rectangles away from the basepoint, each region's move read off its
     corner tuple; where no region moves, every row is 0."""
     validate_diagram(d)
-    points = d.points
     moves = []
     for r in d.regions:
         if r.has_z:
@@ -176,9 +168,11 @@ def cf_hat(d: ClosedDiagram) -> ChainComplex:
         cs = r.corners
         if r.genus or len(cs) not in (2, 4):
             raise DiagramError("not-nice", "non-nice region without basepoint")
+        if len({p for p, _ in cs}) < len(cs):
+            continue
         if len(cs) == 2:
             (p, qp), (q, qq) = cs
-            if p == q or points[p] != points[q] or qp % 2 == qq % 2:
+            if qp % 2 == qq % 2:
                 continue
             src, tgt = ((p,), (q,)) if qp % 2 == 0 else ((q,), (p,))
         else:
@@ -186,13 +180,7 @@ def cf_hat(d: ClosedDiagram) -> ChainComplex:
             if not q0 % 2 == q2 % 2 != q1 % 2 == q3 % 2:
                 continue
             src, tgt = ((p0, p2), (p1, p3)) if q0 % 2 == 0 else ((p1, p3), (p0, p2))
-            if src[0] == src[1] or tgt[0] == tgt[1]:
-                continue
-            (a0, b0), (a1, b1) = points[src[0]], points[src[1]]
-            ta, tb = zip(points[tgt[0]], points[tgt[1]])
-            if a0 == a1 or b0 == b1 or {a0, a1} != set(ta) or {b0, b1} != set(tb):
-                continue
-        moves.append((frozenset(src), frozenset(tgt), _interior_points(d, r)))
+        moves.append((frozenset(src), frozenset(tgt)))
 
     gens = enumerate_generators(d)
     diff = [0] * len(gens)
@@ -200,9 +188,8 @@ def cf_hat(d: ClosedDiagram) -> ChainComplex:
         index = {g: i for i, g in enumerate(gens)}
         for i, g in enumerate(gens):
             gs = frozenset(g)
-            for src, tgt, interior in moves:
-                # no move where a spectator coordinate sits inside the region
-                if src <= gs and not (gs - src) & interior:
+            for src, tgt in moves:
+                if src <= gs:
                     j = index.get(tuple(sorted((gs - src) | tgt)))
                     if j is not None:
                         diff[i] ^= 1 << j

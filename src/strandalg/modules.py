@@ -363,9 +363,9 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
         d = alg.diff_basis(i)
         if d:
             ops[(f"b{i}", ())] = frozenset(f"b{j}" for j in d)
-        for a, out in row.items():
+        for a, o in row.items():
             if a not in alg.idempotent_set:
-                ops[(f"b{i}", (a,))] = frozenset(f"b{j}" for j in out)
+                ops[(f"b{i}", (a,))] = frozenset((f"b{o}",))
     return TypeAModule(alg, gens, idem, ops)
 
 
@@ -469,7 +469,7 @@ def nilpotence_order(alg: Algebra) -> int:
     cur = aplus
     j = 1
     while cur:
-        nxt = frozenset(c for i in cur for a, p in rows[i].items() if a in aplus for c in p)
+        nxt = frozenset(o for i in cur for a, o in rows[i].items() if a in aplus)
         if nxt == cur:
             raise TruncationUnsound("non-idempotent basis elements are not nilpotent")
         cur = nxt

@@ -10,9 +10,11 @@ product are computed on the diagrams (smoothing a crossing with an empty
 rectangle; composition where no strand pair crosses in both factors) and read
 back in the matched basis.
 
-Algebra elements are named by basis index: the tables map an index, or a
-pair of indices, to a frozenset of basis indices, its image (a GF(2) sum).
-Basis descriptors name them in files and failure witnesses.
+Algebra elements are named by basis index.  The differential maps an index
+to a frozenset of basis indices, its image (a GF(2) sum); the product table
+maps a pair of indices to one basis index, since in the matched basis a
+product of two basis elements is one basis element or zero.  Basis
+descriptors name them in files and failure witnesses.
 
 Each fact about an expansion diagram is computed once.  Building the algebra
 enumerates only realizable basis elements and makes each element's index,
@@ -24,17 +26,18 @@ left diagram ending there, with the owner key of each composition.  It runs
 then, not at build, so a table corrupted before it is indexed as it stands.
 
 The product table is the list of rows that Algebra.products() returns: row i
-maps each j to a nonzero a_i * a_j, and a row not filled yet is None.  One
-kernel fills a row, for products() and mul_basis alike: two diagrams compose
-only where the end positions of the first are the start positions of the
-second, and to a nonzero diagram only where no strand pair crosses in both, a
-test of two crossing bitmasks.  It reads each composition's basis element
-from an owner index.  An entry whose compositions are one element's whole
-expansion (every entry on the corpus and genus 3 is) holds the one frozenset
-the algebra shares per basis element; any other entry is contracted, which
-gives the sum or raises its witness.  The row of a one-diagram element has at
-most one composition per entry, so it is read straight from the left
-record, with no owner count.  Every call reads the rows as they stand, so
+maps each j with a_i * a_j = a_o nonzero to the basis index o, and a row not
+filled yet is None.  One kernel fills a row, for products() and mul_basis
+alike: two diagrams compose only where the end positions of the first are
+the start positions of the second, and to a nonzero diagram only where no
+strand pair crosses in both, a test of two crossing bitmasks.  It reads each
+composition's basis element from an owner index.  An entry whose
+compositions are one element's whole expansion (every entry on the corpus
+and genus 3 is) is that element's index; any other entry is contracted,
+which gives the element or raises its witness, and a sum of two or more
+elements raises NotInMatchedSpan naming both factors.  The row of a
+one-diagram element has at most one composition per entry, so it is read
+straight from the left record, with no owner count.  Every call reads the rows as they stand, so
 the law, isomorphism and module checks see a corrupted entry wherever it is.
 
 The differential swaps the ends of crossing strands (p1, q1), (p2, q2),
@@ -170,14 +173,13 @@ class Algebra:
         self._diff: dict[int, frozenset] = {}
         # ends in start order -> the swaps that smooth a diagram with those ends
         self._swap_table: dict[tuple, tuple] = {}
-        # the product table: row i maps j to a nonzero a_i * a_j; None until filled
-        self._rows: list[dict[int, frozenset] | None] = [None] * self.dim
+        # the product table: row i maps j to o where a_i * a_j = a_o; None until filled
+        self._rows: list[dict[int, int] | None] = [None] * self.dim
         # the diagram indexes of the row kernel, built on its first use
         self._starting_at: dict[int, list] | None = None
         self._left: list[list[tuple]] = []
         self._owned: dict[int, dict] = {}
         self._sizes: list[int] = []
-        self._single: list[frozenset] = []
 
     @classmethod
     def from_surface(cls, ds: DecoratedSurface, k: int) -> "Algebra":
@@ -344,12 +346,14 @@ class Algebra:
         return cached
 
     def mul_basis(self, i: int, j: int) -> frozenset:
+        """a_i * a_j as a GF(2) sum, made from the stored index."""
         row = self._rows[i]
         if row is None:
             if self.basis[i].t != self.basis[j].s:
                 return _ZERO
             row = self._fill_row(i)
-        return row.get(j, _ZERO)
+        o = row.get(j)
+        return _ZERO if o is None else frozenset((o,))
 
     def _crossings(self, diagram, side: int) -> int:
         """Bit a * n_positions + b per crossing strand pair with ends a < b on
@@ -362,10 +366,10 @@ class Algebra:
                 mask |= 1 << (a * n + b if a < b else b * n + a)
         return mask
 
-    def _fill_row(self, i: int) -> dict[int, frozenset]:
-        """Fill row i of the table with a_i * a_j wherever a diagram of a_i
-        composes with one of a_j, and return it.  Where contract raises, the
-        row stays unfilled.
+    def _fill_row(self, i: int) -> dict[int, int]:
+        """Fill row i of the table with the basis index o of a_i * a_j = a_o
+        wherever a diagram of a_i composes with one of a_j, and return it.
+        Where contract raises, the row stays unfilled.
 
         The middle positions of a composition are distinct, so its inversion
         count is the sum of its factors' counts less twice the strand pairs
@@ -380,29 +384,26 @@ class Algebra:
         o's expansion, the only diagrams the owner index gives to o.  Where
         all of an entry's compositions have one owner o and there are
         len(expansion of o) of them, they are exactly o's expansion: the
-        entry is a_o, stored as o's shared set _single[o].  The row is filled
-        from the left records that _index_diagrams made for a_i's diagrams on
-        the first fill, whose crossing masks and owner keys are already
-        tested and read: each composition's owner is looked up in the left
-        diagram's owner dict.  Every other entry, a sum of two or more
-        elements or a corrupted one, is composed in full and passed to
-        contract, which returns the sum or raises its witness; no entry sums
-        to zero, since its compositions are distinct.
+        entry is a_o, stored as o.  The row is filled from the left records
+        that _index_diagrams made for a_i's diagrams on the first fill, whose
+        crossing masks and owner keys are already tested and read: each
+        composition's owner is looked up in the left diagram's owner dict.
+        Every other entry is filled by _contracted.
 
         Where a_i has one diagram, its one left record gives the row without
         a count: the right diagrams of one start mask belong to distinct
         elements (the diagrams of one element differ in start mask), so each
         j has at most one composition, and the js already ascend.  Its entry
-        is _single[o] where its owner o has one diagram, else contracted.
+        is o where its owner o has one diagram, else contracted.
         Rows of elements with two or more diagrams gather the owners of each
         j over all their diagrams and count them as above."""
         if self._starting_at is None:
             self._index_diagrams()
-        records, single, sizes = self._left[i], self._single, self._sizes
+        records, sizes = self._left[i], self._sizes
         if len(records) == 1:
             ((_, js, keys), owned), = records
             row = {
-                j: single[o] if o is not None and sizes[o] == 1 else self.contract(self._compositions(i, j))
+                j: o if o is not None and sizes[o] == 1 else self._contracted(i, j)
                 for j, o in zip(js, map(owned.get, keys))
             }
             self._rows[i] = row
@@ -418,10 +419,7 @@ class Algebra:
         for j in sorted(acc):
             found = acc[j]
             o = found[0]
-            if o is not None and found.count(o) == len(found) == sizes[o]:
-                row[j] = single[o]
-            else:
-                row[j] = self.contract(self._compositions(i, j))
+            row[j] = o if o is not None and found.count(o) == len(found) == sizes[o] else self._contracted(i, j)
         self._rows[i] = row
         return row
 
@@ -445,11 +443,9 @@ class Algebra:
           compositions.  The first part depends only on the ends in start
           order, so it is made once per ends tuple and shared, and js and
           keys are read once _starting_at is whole;
-        - _sizes (expansion size by basis index) and _single (the
-          one-element frozenset of each basis index)."""
+        - _sizes, the expansion size by basis index."""
         self._starting_at, self._owned, self._left = {}, {}, []
         self._sizes = [len(exp) for exp in self._expansions]
-        self._single = [frozenset((z,)) for z in range(self.dim)]
         key = operator.itemgetter(*range(self.k)) if self.k else _no_ends
         shapes: dict[tuple, tuple] = {}
         owner_keys: dict = {}  # one object per owner key, shared by _owned and the left records
@@ -480,20 +476,29 @@ class Algebra:
                     js.append(j)
                     keys.append(owner_keys.get(kk, kk))
 
-    def _compositions(self, i: int, j: int) -> list:
-        """The composed diagrams whose sum is a_i * a_j."""
-        out = []
+    def _contracted(self, i: int, j: int) -> int:
+        """The basis index of a_i * a_j where its compositions are not one
+        element's whole expansion (a corrupted table): the diagrams composed
+        in full and contracted, which gives the element or raises the
+        witness.  No entry sums to zero, since its compositions are distinct,
+        and a sum of two or more elements raises NotInMatchedSpan."""
+        found = []
         for d in self._expansions[i]:
             left = self._crossings(d, 1)
             for jj, step, right in self._starting_at.get(sum(1 << q for _, q in d), ()):
                 if jj == j and not left & right:
-                    out.append(tuple((p, step[q]) for p, q in d))
-        return out
+                    found.append(tuple((p, step[q]) for p, q in d))
+        out = self.contract(found)
+        if len(out) == 1:
+            return min(out)
+        raise NotInMatchedSpan(
+            f"product of {self.describe(i)} and {self.describe(j)} is {self.describe_sum(out)}, not one basis element"
+        )
 
-    def products(self) -> list[dict[int, frozenset]]:
-        """The product table itself, every row filled: row i maps j to a_i *
-        a_j wherever that is nonzero.  The rows are returned as stored, for
-        reading only, so a corrupted entry is read as it stands."""
+    def products(self) -> list[dict[int, int]]:
+        """The product table itself, every row filled: row i maps j to o
+        wherever a_i * a_j = a_o is nonzero.  The rows are returned as stored,
+        for reading only, so a corrupted entry is read as it stands."""
         for i, row in enumerate(self._rows):
             if row is None:
                 self._fill_row(i)
@@ -520,7 +525,7 @@ class Algebra:
     def dump(self, fp) -> None:
         """Write json.dumps(d, sort_keys=True) + "\n" to the text file fp, for
         d = {k, n_arcs, basis, differential: [i, d(a_i)] per nonzero d(a_i),
-        product: [i, j, o] per o in a_i * a_j}, all ascending.  Every value is
+        product: [i, j, o] per a_i * a_j = a_o}, all ascending.  Every value is
         an int or a list of ints, whose str() is its JSON.  The tables are
         filled before the first write, so an engine error writes nothing.
 
@@ -548,11 +553,7 @@ class Algebra:
         for i, row in enumerate(rows):
             if row:
                 pre = f"[{i}, "
-                fp.write(sep + ", ".join([
-                    f"{pre}{names[j]}, {names[o]}]"
-                    for j in sorted(row)
-                    for o in (row[j] if len(row[j]) == 1 else sorted(row[j]))
-                ]))
+                fp.write(sep + ", ".join([f"{pre}{names[j]}, {names[row[j]]}]" for j in sorted(row)]))
                 sep = ", "
         fp.write("]}\n")
 
@@ -638,10 +639,10 @@ def _leibniz(alg: Algebra, rows) -> list[str]:
     bad = []
     for i, b in enumerate(basis):
         row = rows[i]
-        terms = [jd + z for j, ij in row.items() for jd in (j * dim,) for y in ij for z in diff[y]]  # d(a_i a_j)
-        terms += [j * dim + z for x in diff[i] for j, xj in rows[x].items() for z in xj]  # (d a_i) a_j
+        terms = [jd + z for j, y in row.items() for jd in (j * dim,) for z in diff[y]]  # d(a_i a_j)
+        terms += [j * dim + xj for x in diff[i] for j, xj in rows[x].items()]  # (d a_i) a_j
         # a_i (d a_j), read from a_i y for each y and each j with y in d(a_j)
-        terms += [jd + z for y, iy in row.items() for jd in d_into.get(y, ()) for z in iy]
+        terms += [jd + iy for y, iy in row.items() for jd in d_into.get(y, ())]
         if odd := _odd(terms):
             bad += [(i, j, r) for j, r in _residues(odd, dim, lambda j: basis[j].s == b.t)]
             if len(bad) >= 3:
@@ -659,20 +660,19 @@ def _assoc(alg: Algebra, rows) -> list[str]:
     where s(j) = t(i) and s(l) = t(j)."""
     dim, basis = alg.dim, alg.basis
     # per row x, the code l * dim + z of every term z of every a_x a_l
-    codes = [[l * dim + z for l, xl in row.items() for z in xl] for row in rows]
-    # y -> (j * dim + l) * dim for every (j, l) with y a term of a_j a_l
+    codes = [[l * dim + xl for l, xl in row.items()] for row in rows]
+    # y -> (j * dim + l) * dim for every (j, l) with a_j a_l = a_y
     made_from: dict[int, list[int]] = {}
     for j, row in enumerate(rows):
-        for l, jl in row.items():
-            for y in jl:
-                made_from.setdefault(y, []).append((j * dim + l) * dim)
+        for l, y in row.items():
+            made_from.setdefault(y, []).append((j * dim + l) * dim)
     dim2 = dim * dim
     bad = []
     for i, b in enumerate(basis):
         row = rows[i]
-        terms = [jd + c for j, ij in row.items() for jd in (j * dim2,) for x in ij for c in codes[x]]  # (a_i a_j) a_l
-        # a_i (a_j a_l), read from a_i y for each y and each (j, l) with y in a_j a_l
-        terms += [jl + z for y, iy in row.items() for jl in made_from.get(y, ()) for z in iy]
+        terms = [jd + c for j, x in row.items() for jd in (j * dim2,) for c in codes[x]]  # (a_i a_j) a_l
+        # a_i (a_j a_l), read from a_i y for each y and each (j, l) with a_j a_l = a_y
+        terms += [jl + iy for y, iy in row.items() for jl in made_from.get(y, ())]
         if odd := _odd(terms):
 
             def composable(jl, t=b.t):
@@ -688,11 +688,17 @@ def _assoc(alg: Algebra, rows) -> list[str]:
     ]
 
 
+def _residue(got, want) -> set:
+    """The GF(2) difference of two product entries or their images, each one
+    element or None for zero."""
+    return set() if got == want else {got, want} - {None}
+
+
 def _idempotents(alg: Algebra, rows) -> list[str]:
     failures = []
     idems = sorted(alg.idempotent_set)
     for a, b in itertools.product(idems, idems):
-        if residue := rows[a].get(b, _ZERO) ^ (frozenset([a]) if a == b else _ZERO):
+        if residue := _residue(rows[a].get(b), a if a == b else None):
             failures.append(
                 f"idempotent orthogonality fails on ({alg.describe(a)}, {alg.describe(b)}): "
                 f"residue {alg.describe_sum(residue)}"
@@ -701,8 +707,7 @@ def _idempotents(alg: Algebra, rows) -> list[str]:
     # idempotent vanish by composability, which orthogonality covers
     idem_of = {s: alg.idempotent_index(s) for s in alg.by_source}
     for i, b in enumerate(alg.basis):
-        one = frozenset([i])
-        if residue := (rows[idem_of[b.s]].get(i, _ZERO) ^ one) or (rows[i].get(idem_of[b.t], _ZERO) ^ one):
+        if residue := _residue(rows[idem_of[b.s]].get(i), i) or _residue(rows[i].get(idem_of[b.t]), i):
             failures.append(f"unit law fails on {alg.describe(i)}: residue {alg.describe_sum(residue)}")
             break
     if len(alg.idempotent_set) != comb(alg.n_arcs, alg.k):
@@ -758,9 +763,10 @@ def _isomorphism_failures(
 ) -> list[str]:
     """Witnesses that the basis map i -> image[i] is not a bijection onto a
     basis of target_dim elements, or does not carry the differential and
-    product of alg to d_image(i) and m_image(i, j), both sets of images: the
-    bijection witness alone, or the first failing basis element and the first
-    failing pair.  residue names a set of images in a witness.
+    product of alg to d_image(i), a set of images, and m_image(i, j), one
+    image or None for zero: the bijection witness alone, or the first failing
+    basis element and the first failing pair.  residue names a set of images
+    in a witness.
 
     image_pairs are the pairs where m_image can be nonzero, so the product
     loop visits the nonzero pairs on either side, row by row, merging a
@@ -780,7 +786,8 @@ def _isomorphism_failures(
     for i, row in enumerate(alg.products()):
         js = image_rows.get(i, _ZERO)
         for j in sorted(row if row.keys() == js else js.union(row)):
-            if r := {image[x] for x in row.get(j, _ZERO)} ^ m_image(i, j):
+            o = row.get(j)
+            if r := _residue(o if o is None else image[o], m_image(i, j)):
                 failures.append(
                     f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}"
                 )
@@ -823,7 +830,7 @@ def opposite_failures(ds: DecoratedSurface, k: int, algebra: Algebra | None = No
         op,
         ralg.dim,
         lambda i: ralg.diff_basis(op[i]),
-        lambda i, j: rrows[op[j]].get(op[i], _ZERO),
+        lambda i, j: rrows[op[j]].get(op[i]),
         ralg.describe_sum,
         "transposed",
         ((pre[v], pre[u]) for u, v in _nonzero_pairs(rrows)),
@@ -894,9 +901,10 @@ def consum_failures(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: in
         k1, i1, i2 = pair_of[bi]
         l1, j1, j2 = pair_of[bj]
         if k1 != l1:
-            return set()
+            return None
         rows1, rows2 = rows[k1]
-        return {(k1, u, v) for u in rows1[i1].get(j1, _ZERO) for v in rows2[i2].get(j2, _ZERO)}
+        u, v = rows1[i1].get(j1), rows2[i2].get(j2)
+        return None if u is None or v is None else (k1, u, v)
 
     return _isomorphism_failures(
         asum,

@@ -118,6 +118,55 @@ def test_rectangle_differential_fires():
     assert c.homology_rank() == 0
 
 
+def _diagram_json(points, regions):
+    return json.dumps({
+        "genus": 2,
+        "points": [{"alpha": a, "beta": b} for a, b in points],
+        "regions": [{"corners": cs, "has_z": z, **({"genus": g} if g else {})} for cs, z, g in regions],
+    })
+
+
+@pytest.mark.parametrize(
+    "points, regions, rank",
+    [
+        # a square whose two diagonals are the same two points: source equals target
+        (
+            [(0, 0), (1, 1)],
+            [([[0, 0], [0, 1], [1, 2], [1, 3]], False, 0), ([[0, 2], [0, 3], [1, 0], [1, 1]], True, 1)],
+            1,
+        ),
+        # a square on three points, p0 at two corners
+        (
+            [(0, 0), (1, 1), (1, 1)],
+            [
+                ([[0, 0], [0, 1], [1, 2], [2, 3]], False, 0),
+                ([[1, 1], [2, 1]], False, 0),
+                ([[0, 2], [0, 3], [1, 0], [1, 3], [2, 0], [2, 2]], True, 1),
+            ],
+            2,
+        ),
+    ],
+    ids=["diagonal-on-itself", "three-points"],
+)
+def test_a_region_with_a_repeated_corner_point_does_not_move(points, regions, rank):
+    """Only a region whose corner points are distinct moves: a four-corner
+    region that meets a point twice is no empty rectangle, so it neither
+    maps a generator to itself nor fires as a move."""
+    d = parse_diagram(_diagram_json(points, regions))
+    c = cf_hat(d)
+    assert c.differential == (0,) * c.rank
+    assert c.homology_rank() == rank
+
+
+def test_a_beta_index_equal_to_the_genus_is_rejected():
+    """Kills the mutant that bounds a point's beta curve by genus + 1 (or not
+    at all) in validate_diagram: beta == genus names no curve."""
+    d = ClosedDiagram(1, ((0, 1),), (Region(((0, 0), (0, 1), (0, 2), (0, 3)), has_z=True),))
+    with pytest.raises(DiagramError, match="out-of-range curve index") as err:
+        validate_diagram(d)
+    assert err.value.code == "invalid"
+
+
 def test_d_squared_on_corpus():
     for name, fn in NAMED_DIAGRAMS.items():
         cf_hat(fn())  # ChainComplex construction validates d^2 = 0
@@ -152,23 +201,6 @@ def test_rank_invariant_under_reflection():
         refl = _reflect(d)
         validate_diagram(refl)
         assert cf_hat(refl).homology_rank() == cf_hat(d).homology_rank()
-
-
-def test_empty_test_is_consistent_with_brute_force_on_corpus():
-    # with nice regions no spectator coordinate can sit inside a bigon or
-    # square, so dropping the interior filter must not change anything
-    from strandalg import diagrams as D
-
-    for name, fn in NAMED_DIAGRAMS.items():
-        d = fn()
-        with_filter = cf_hat(d).differential
-        orig = D._interior_points
-        try:
-            D._interior_points = lambda d_, r_: set()
-            without_filter = cf_hat(d).differential
-        finally:
-            D._interior_points = orig
-        assert with_filter == without_filter
 
 
 def test_euler_measure_bigon_and_square():
@@ -429,49 +461,30 @@ def _reference_generators(d):
     return sorted(tuple(sorted(c)) for c in partial)
 
 
-def _reference_region_moves(d, r):
+def _reference_region_moves(r):
+    """The move of a bigon or square: where its corner points are distinct
+    and its quadrant parities alternate round the cycle, from its
+    even-quadrant corners to its odd ones."""
     cs = r.corners
-    if len(cs) == 2:
-        (p, qp), (q, qq) = cs
-        if p == q or d.points[p] != d.points[q]:
-            return
-        if qp % 2 == 0 and qq % 2 == 1:
-            yield frozenset([p]), frozenset([q])
-        elif qq % 2 == 0 and qp % 2 == 1:
-            yield frozenset([q]), frozenset([p])
-        return
-    if len(cs) != 4:
-        return
-    evens = [i for i, (_, q) in enumerate(cs) if q % 2 == 0]
-    if len(evens) != 2 or (evens[1] - evens[0]) % 2 != 0:
-        return
-    src = frozenset(cs[i][0] for i in evens)
-    tgt = frozenset(cs[i][0] for i in range(4) if i not in evens)
-    if len(src) != 2 or len(tgt) != 2:
-        return
-    sa = {d.points[p][0] for p in src}
-    sb = {d.points[p][1] for p in src}
-    ta = {d.points[p][0] for p in tgt}
-    tb = {d.points[p][1] for p in tgt}
-    if len(sa) == len(sb) == 2 and sa == ta and sb == tb:
-        yield src, tgt
+    parities = [q % 2 for _, q in cs]
+    if len(cs) in (2, 4) and len({p for p, _ in cs}) == len(cs):
+        if all(parities[n] != parities[n - 1] for n in range(len(cs))):
+            yield frozenset(p for p, q in cs if q % 2 == 0), frozenset(p for p, q in cs if q % 2)
 
 
 def _reference_cf_hat(d):
     """The move scan as (labels, differential), before ChainComplex checks it."""
-    from strandalg import diagrams as D
-
     _reference_validate(d)
     if not all(r.has_z or (len(r.corners) in (2, 4) and r.genus == 0) for r in d.regions):
         raise DiagramError("not-nice", "non-nice region without basepoint")
     gens = _reference_generators(d)
     index = {g: i for i, g in enumerate(gens)}
-    moves = [(s, t, D._interior_points(d, r)) for r in d.regions if not r.has_z for s, t in _reference_region_moves(d, r)]
+    moves = [m for r in d.regions if not r.has_z for m in _reference_region_moves(r)]
     diff = []
     for g in gens:
         gs, mask = frozenset(g), 0
-        for src, tgt, interior in moves:
-            if src <= gs and not (gs - src) & interior:
+        for src, tgt in moves:
+            if src <= gs:
                 out = (gs - src) | tgt
                 j = index.get(tuple(sorted(out)))
                 if j is not None and len(out) == d.genus:

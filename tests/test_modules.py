@@ -163,6 +163,53 @@ def test_typeA_composable_chains_match_full_product():
     assert not check_typeA(cases[-1][1]).ok
 
 
+def test_a_repeated_typeA_operation_cancels_on_load():
+    """Kills the mutants of load_module that OR a repeated operation's output
+    into its entry instead of XORing it, or keep an entry that cancels to
+    zero: an operation listed twice is gone, and listed three times is
+    there once."""
+    m = solid_torus_typeA()
+    data = dump_module(m, {})
+    op = data["operations"][0]
+    key = (op["from"], tuple(ALG.basis_index(desc) for desc in op["alg"]))
+    assert m.ops[key] == {op["to"]}
+    twice = load_module({**data, "operations": data["operations"] + [op]}, algebra=ALG)
+    thrice = load_module({**data, "operations": data["operations"] + [op, op]}, algebra=ALG)
+    assert twice.ops == {k: v for k, v in m.ops.items() if k != key}
+    assert thrice.ops == m.ops
+
+
+def test_check_typeA_stops_at_five_witnesses():
+    """Kills the mutants of check_typeA that stop after six witnesses or
+    never stop: three generators, each acted on by the self-chord (0,2) as
+    the identity, fail two relations each, and the first five are kept."""
+    a = chord(0, 2)
+    gens = ("x0", "x1", "x2")
+    m = TypeAModule(ALG, gens, {x: I0 for x in gens}, {(x, (a,)): frozenset([x]) for x in gens})
+    ok, first = _full_product_check_typeA(m)
+    assert check_typeA(m).failures == first and len(first) == 5
+    total = sum(
+        bool(_relation_terms(m, x, args))
+        for r in range(m.j_max + 2)
+        for x in gens
+        for args in itertools.product(range(ALG.dim), repeat=r)
+    )
+    assert total == 6
+
+
+def test_a_three_input_relation_reads_the_middle_product():
+    """Kills the mutant of _relation_terms that sums only the first product
+    a_1 a_2 of an argument chain: m_3(x, (0,1), (1,3)) = y and nothing
+    else, so the relation on ((0,1), (1,2), (2,3)) fails only through the
+    middle product (1,2)(2,3) = (1,3), and every other relation holds."""
+    a01, a12, a23, a13 = chord(0, 1), chord(1, 2), chord(2, 3), chord(1, 3)
+    assert ALG.mul_basis(a12, a23) == {a13}
+    m = TypeAModule(ALG, ("x", "y"), {"x": I0, "y": I1}, {("x", (a01, a13)): frozenset(["y"])})
+    assert _relation_terms(m, "x", (a01, a12, a23)) == {"y"}
+    rep = check_typeA(m)
+    assert rep.failures == [f"relation fails on ('x', [{ALG.describe(a01)}, {ALG.describe(a12)}, {ALG.describe(a23)}]): residue ['y']"]
+
+
 # ---------------------------------------------------------------------------
 # box tensor
 

@@ -519,8 +519,8 @@ def test_block_index_matches_all_pairs_scan():
     for ds, k, laws in cases:
         alg = Algebra.from_surface(ds, k)
         scan = _all_pairs_scan(alg)
-        products = {(i, j): p for i, row in enumerate(alg.products()) for j, p in row.items()}
-        assert products == {(i, j): p for i, j in scan if (p := alg.mul_basis(i, j))}
+        products = {(i, j): o for i, row in enumerate(alg.products()) for j, o in row.items()}
+        assert products == {(i, j): o for i, j in scan for o in alg.mul_basis(i, j)}
         rep = check_algebra(ds, k, checks=laws, algebra=alg)
         assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
         assert rep.ok
@@ -646,10 +646,10 @@ def test_on_demand_products_match_the_filled_table(ds, k):
     call, fills the rows one at a time to the table that products() fills on
     a fresh algebra; products() afterwards reads the same rows."""
     alg = Algebra.from_surface(ds, k)
-    on_demand = {(i, j): p for i, j in _all_pairs_scan(alg) if (p := alg.mul_basis(i, j))}
-    filled = {(i, j): p for i, row in enumerate(Algebra.from_surface(ds, k).products()) for j, p in row.items()}
+    on_demand = {(i, j): o for i, j in _all_pairs_scan(alg) for o in alg.mul_basis(i, j)}
+    filled = {(i, j): o for i, row in enumerate(Algebra.from_surface(ds, k).products()) for j, o in row.items()}
     assert on_demand == filled
-    assert {(i, j): p for i, row in enumerate(alg.products()) for j, p in row.items()} == filled
+    assert {(i, j): o for i, row in enumerate(alg.products()) for j, o in row.items()} == filled
 
 
 def test_a_second_products_call_returns_the_stored_rows(monkeypatch):
@@ -693,8 +693,8 @@ def test_the_table_stores_no_zero_entry():
     """The row kernel reads an entry from owner counts, which is exact only
     because no entry composes a diagram twice.  Against a reference
     composition, on the corpus and on genus 3 at k <= 2: each entry's
-    compositions are distinct, contract to the stored entry, and no entry is
-    zero."""
+    compositions are distinct and contract to the one stored element, so no
+    entry is zero."""
     pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
     pairs += [(ds, k) for ds in GENUS3.values() for k in range(3)]
     entries = 0
@@ -705,16 +705,15 @@ def test_the_table_stores_no_zero_entry():
         assert {(i, j) for i, row in enumerate(rows) for j in row} == compositions.keys()
         for (i, j), diagrams in compositions.items():
             assert len(set(diagrams)) == len(diagrams)
-            assert alg.contract(diagrams) == rows[i][j]
-        assert all(all(row.values()) for row in rows)
+            assert alg.contract(diagrams) == {rows[i][j]}
         entries += len(compositions)
     assert (len(pairs), entries) == (275 + 6, 55_528)
 
 
 def test_every_entry_is_one_shared_basis_element(monkeypatch):
     """On the corpus and on genus 3 at k <= 2, every product entry is one
-    element's whole expansion: the fill never falls back to contract, and a
-    filled table holds no more distinct entry objects than basis elements."""
+    element's whole expansion: the fill never falls back to contract, and
+    every stored entry is a basis index."""
     calls = []
     contract = Algebra.contract
     monkeypatch.setattr(Algebra, "contract", lambda alg, diagrams: calls.append(1) or contract(alg, diagrams))
@@ -724,11 +723,40 @@ def test_every_entry_is_one_shared_basis_element(monkeypatch):
     for ds, k in pairs:
         alg = Algebra.from_surface(ds, k)
         rows = alg.products()
-        objects = {id(p) for row in rows for p in row.values()}
-        assert len(objects) <= alg.dim
+        assert all(type(o) is int for row in rows for o in row.values())
         entries += sum(map(len, rows))
     assert not calls
     assert (len(pairs), entries) == (275 + 6, 55_528)
+
+
+def _two_element_product():
+    """A(TORUS, 1) whose row kernel was indexed with {"chords": [[0, 3]]}'s
+    diagram added to the expansion of {"chords": [[0, 1]]}, restored after:
+    the idempotent I(0) times that element composes to both elements' whole
+    expansions.  Returned with the product's two factors."""
+    alg = Algebra.from_surface(TORUS, 1)
+    e, j, y = alg.idempotent_index([0]), alg.basis_index({"chords": [[0, 1]]}), alg.basis_index({"chords": [[0, 3]]})
+    alg._expansions[j] |= alg._expansions[y]
+    alg._index_diagrams()
+    alg._expansions[j] -= alg._expansions[y]
+    return alg, e, j
+
+
+def test_a_product_of_two_elements_is_refused_naming_both_factors():
+    """The table stores one basis index per entry, so a fill whose entry
+    contracts to a sum of two elements raises NotInMatchedSpan naming both
+    factors and the sum, and the closure law reports it."""
+    witness = (
+        'product of {"chords": [], "markers": [0]} and {"chords": [[0, 1]], "markers": []} is '
+        '[{"chords": [[0, 1]], "markers": []}, {"chords": [[0, 3]], "markers": []}], not one basis element'
+    )
+    alg, e, j = _two_element_product()
+    with pytest.raises(NotInMatchedSpan) as err:
+        alg.mul_basis(e, j)
+    assert str(err.value) == witness
+    assert alg._rows[e] is None
+    alg, _, _ = _two_element_product()
+    assert check_algebra(TORUS, 1, checks=("closure",), algebra=alg).failures == [f"closure: {witness}"]
 
 
 def test_a_failed_count_fills_the_row_through_contract(monkeypatch):
@@ -736,14 +764,14 @@ def test_a_failed_count_fills_the_row_through_contract(monkeypatch):
     at every entry it owns; contract still fills those entries exactly."""
     fresh = Algebra.from_surface(TORUS, 2).products()
     alg = Algebra.from_surface(TORUS, 2)
-    i, (o,) = next((i, p) for i, row in enumerate(fresh) for p in row.values() if len(alg._expansions[min(p)]) > 1)
+    i, o = next((i, o) for i, row in enumerate(fresh) for o in row.values() if len(alg._expansions[o]) > 1)
     alg._index_diagrams()
     alg._sizes[o] += 1
     calls = []
     contract = alg.contract
     monkeypatch.setattr(alg, "contract", lambda diagrams: calls.append(1) or contract(diagrams))
     assert alg._fill_row(i) == fresh[i]
-    assert len(calls) == sum(p == {o} for p in fresh[i].values()) >= 1
+    assert len(calls) == sum(p == o for p in fresh[i].values()) >= 1
 
 
 def test_the_fast_path_reads_every_owner_of_an_entry():
@@ -763,9 +791,9 @@ def test_the_fast_path_reads_every_owner_of_an_entry():
 def _counted_row(alg, i):
     """Row i filled through the accumulate-and-count path for every row, the
     one the kernel keeps for elements of two or more diagrams: the owners of
-    each j's compositions, gathered over all of a_i's diagrams, give the
-    shared a_o where they are o's whole expansion, and contract gives every
-    other entry, in ascending j."""
+    each j's compositions, gathered over all of a_i's diagrams, give o where
+    they are o's whole expansion, and the contracted fill gives every other
+    entry, in ascending j."""
     acc = {}
     for (_, js, keys), owned in alg._left[i]:
         for j, o in zip(js, map(owned.get, keys)):
@@ -774,9 +802,9 @@ def _counted_row(alg, i):
     for j in sorted(acc):
         found, o = acc[j], acc[j][0]
         if o is not None and found.count(o) == len(found) == alg._sizes[o]:
-            row[j] = alg._single[o]
+            row[j] = o
         else:
-            row[j] = alg.contract(alg._compositions(i, j))
+            row[j] = alg._contracted(i, j)
     return row
 
 
@@ -805,11 +833,11 @@ def test_a_failed_count_in_a_one_diagram_row_fills_through_contract(monkeypatch)
     alg = Algebra.from_surface(ds, k)
     alg._index_diagrams()
     i, o = next(
-        (i, min(p))
+        (i, o)
         for i, row in enumerate(fresh)
         if len(alg._left[i]) == 1
-        for p in row.values()
-        if alg._sizes[min(p)] == 1
+        for o in row.values()
+        if alg._sizes[o] == 1
     )
     alg._sizes[o] += 1
     calls = []
@@ -817,7 +845,7 @@ def test_a_failed_count_in_a_one_diagram_row_fills_through_contract(monkeypatch)
     monkeypatch.setattr(alg, "contract", lambda diagrams: calls.append(1) or contract(diagrams))
     row = alg._fill_row(i)
     assert list(row.items()) == list(fresh[i].items())
-    assert len(calls) == sum(p == {o} for p in fresh[i].values()) >= 1
+    assert len(calls) == sum(p == o for p in fresh[i].values()) >= 1
 
 
 def test_the_smoothings_of_an_element_are_distinct():
@@ -1018,8 +1046,8 @@ def _opposite_of(alg, monkeypatch):
 def test_corrupted_product_is_caught(k, left, right, witness, opposite, monkeypatch):
     alg = _filled_torus(k)
     i, j = _torus_element(alg, **left), _torus_element(alg, **right)
-    assert alg._rows[i][j]
-    alg._rows[i][j] ^= {min(alg._rows[i][j])}
+    assert j in alg._rows[i]
+    del alg._rows[i][j]
 
     rep = check_algebra(TORUS, k, algebra=alg)
     assert not (rep.laws["assoc"] and rep.laws["leibniz"])
@@ -1103,8 +1131,8 @@ def test_created_product_is_caught(k, left, right, product, witness):
     table under check."""
     alg = _filled_torus(k)
     i, j = _torus_element(alg, **left), _torus_element(alg, **right)
-    assert alg.basis[i].t == alg.basis[j].s and not alg._rows[i].get(j)
-    alg._rows[i][j] = frozenset([_torus_element(alg, **product)])
+    assert alg.basis[i].t == alg.basis[j].s and j not in alg._rows[i]
+    alg._rows[i][j] = _torus_element(alg, **product)
 
     rep = check_algebra(TORUS, k, algebra=alg)
     assert not rep.laws["assoc"]
@@ -1114,8 +1142,10 @@ def test_created_product_is_caught(k, left, right, product, witness):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_every_single_flip_matches_reference(k):
-    """Each d(a_i) and each composable a_i * a_j, flipped by each basis
-    element in turn: check_algebra agrees with the all-pairs reference."""
+    """Each d(a_i) flipped by each basis element in turn, and each composable
+    a_i * a_j set to each basis element e in turn (deleted where e is the
+    entry), every single-entry corruption the table can store:
+    check_algebra agrees with the all-pairs reference."""
     alg = _filled_torus(k)
     for i in range(alg.dim):
         kept = alg._diff[i]
@@ -1125,26 +1155,33 @@ def test_every_single_flip_matches_reference(k):
             assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
         alg._diff[i] = kept
     for i, j in _all_pairs_scan(alg):
-        kept = alg.mul_basis(i, j)
+        row = alg._rows[i]
+        kept = row.get(j)
         for e in range(alg.dim):
-            alg._rows[i][j] = kept ^ {e}
+            if e == kept:
+                del row[j]
+            else:
+                row[j] = e
             rep = check_algebra(TORUS, k, algebra=alg)
             assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
-        alg._rows[i][j] = kept
+        if kept is None:
+            del row[j]
+        else:
+            row[j] = kept
 
 
 def _flip(alg, kind, rng):
     """Corrupt a filled table at a seeded place: kind 0 sets a product entry
-    at a key that does not compose, kind 1 adds a product term with the
-    wrong idempotents, kind 2 flips a differential term."""
+    at a key that does not compose, kind 1 replaces a product entry by an
+    element with the wrong idempotents, kind 2 flips a differential term."""
     basis, dim = alg.basis, alg.dim
     if kind == 0:
         i, j = rng.choice([(i, j) for i in range(dim) for j in range(dim) if basis[i].t != basis[j].s])
-        alg._rows[i][j] = frozenset([rng.randrange(dim)])
+        alg._rows[i][j] = rng.randrange(dim)
     elif kind == 1:
         i, j = rng.choice([(i, j) for i, row in enumerate(alg._rows) for j in row])
         wrong = [e for e in range(dim) if (basis[e].s, basis[e].t) != (basis[i].s, basis[j].t)]
-        alg._rows[i][j] |= {rng.choice(wrong)}
+        alg._rows[i][j] = rng.choice(wrong)
     else:
         i = rng.randrange(dim)
         alg._diff[i] = alg.diff_basis(i) ^ {rng.randrange(dim)}
@@ -1166,14 +1203,15 @@ def test_gf2_law_passes_match_reference_on_seeded_flips():
         rep = check_algebra(ds, k, checks=laws, algebra=alg)
         assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
         verdicts[kind, rep.ok] += 1
-    # a key that does not compose is never read out, so kind 0 always passes
+    # a key that does not compose is never read out, so kind 0 always passes;
+    # every wrong-idempotent replacement is caught
     assert len(cases) == 275
-    assert verdicts == {(0, True): 51, (1, False): 39, (1, True): 2, (2, False): 162, (2, True): 21}
+    assert verdicts == {(0, True): 51, (1, False): 41, (2, False): 162, (2, True): 21}
 
 
 def _lose_product_term(alg):
     i, j = _torus_element(alg, chords=[[0, 2]]), _torus_element(alg, chords=[[2, 3]])
-    alg._rows[i][j] ^= {min(alg._rows[i][j])}
+    del alg._rows[i][j]
 
 
 def _gain_differential_term(alg):
@@ -1209,8 +1247,8 @@ def test_created_summand_product_fails_consum_check(monkeypatch):
     visit the pairs where the summands' tables are nonzero."""
     alg = _filled_torus(1)
     i = _torus_element(alg, chords=[[0, 2]])
-    assert not alg._rows[i].get(i)
-    alg._rows[i][i] = frozenset([i])
+    assert i not in alg._rows[i]
+    alg._rows[i][i] = i
     _build_torus_as(alg, monkeypatch)
     assert consum_failures(TORUS, DISC1, 1) == [
         'product not intertwined at ({"chords": [[2, 4]], "markers": []}, {"chords": [[2, 4]], "markers": []}): '
@@ -1252,7 +1290,8 @@ def _sorted_union_failures(alg, image, target_dim, d_image, m_image, residue, pr
             break
     rows = alg.products()
     for i, j in sorted({(i, j) for i, row in enumerate(rows) for j in row}.union(image_pairs)):
-        if r := {image[x] for x in rows[i].get(j, frozenset())} ^ m_image(i, j):
+        o, want = rows[i].get(j), m_image(i, j)
+        if r := ({image[o]} if o is not None else set()) ^ ({want} if want is not None else set()):
             failures.append(f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}")
             break
     return failures
@@ -1260,10 +1299,11 @@ def _sorted_union_failures(alg, image, target_dim, d_image, m_image, residue, pr
 
 def _corrupt_row(alg, count, rng) -> None:
     """Corrupt count seeded product entries in one seeded row of a filled
-    table, each by a seeded kind: flip a term of a nonzero entry, make a zero
-    composable entry nonzero (its key goes last in the row), flip a term
-    and move the entry last, or delete a nonzero entry where the row has no
-    zero composable entry left."""
+    table, each by a seeded kind: replace a nonzero entry by a seeded
+    element (delete it where that is the entry), make a zero composable entry
+    nonzero (its key goes last in the row), replace or delete an entry and
+    move it last, or delete a nonzero entry where the row has no zero
+    composable entry left."""
     rows = alg.products()
     i = rng.choice([i for i, row in enumerate(rows) if row])
     row = rows[i]
@@ -1271,13 +1311,15 @@ def _corrupt_row(alg, count, rng) -> None:
     for _ in range(count):
         kind = rng.randrange(4)
         if kind == 1 and zero:
-            row[zero.pop(rng.randrange(len(zero)))] = frozenset([rng.randrange(alg.dim)])
+            row[zero.pop(rng.randrange(len(zero)))] = rng.randrange(alg.dim)
         elif row:
             j = rng.choice(sorted(row))
-            if kind == 0:
-                row[j] ^= {rng.randrange(alg.dim)}
-            elif kind == 2:
-                row[j] = row.pop(j) ^ {rng.randrange(alg.dim)}
+            if kind in (0, 2):
+                o, e = row.pop(j) if kind == 2 else row[j], rng.randrange(alg.dim)
+                if e == o:
+                    row.pop(j, None)
+                else:
+                    row[j] = e
             else:
                 del row[j]
 
@@ -1316,16 +1358,17 @@ def test_isomorphism_witnesses_match_the_sorted_union_scan(monkeypatch):
         ("opposite_failures", 1, False, False): 2,
         ("opposite_failures", 1, False, True): 45,
         ("opposite_failures", 1, True, True): 45,
-        ("opposite_failures", 2, False, False): 5,
-        ("opposite_failures", 2, False, True): 42,
-        ("opposite_failures", 2, True, True): 45,
+        ("opposite_failures", 2, False, False): 2,
+        ("opposite_failures", 2, False, True): 45,
+        ("opposite_failures", 2, True, False): 1,
+        ("opposite_failures", 2, True, True): 44,
         ("opposite_failures", 3, False, True): 46,
         ("opposite_failures", 3, True, True): 45,
         ("consum_failures", 1, False, True): 4,
         ("consum_failures", 1, True, True): 8,
-        ("consum_failures", 2, False, False): 1,
-        ("consum_failures", 2, False, True): 3,
-        ("consum_failures", 2, True, True): 8,
+        ("consum_failures", 2, False, True): 4,
+        ("consum_failures", 2, True, False): 1,
+        ("consum_failures", 2, True, True): 7,
         ("consum_failures", 3, False, True): 3,
         ("consum_failures", 3, True, True): 9,
     }
