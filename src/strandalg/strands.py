@@ -753,25 +753,20 @@ def _token_positions(ds: DecoratedSurface) -> dict[str, int]:
     return {t: p for p, t in enumerate(t for iv in ds.intervals() for t in iv)}
 
 
-def _nonzero_pairs(rows) -> list[tuple[int, int]]:
-    """Every (i, j) with an entry in the product rows."""
-    return [(i, j) for i, row in enumerate(rows) for j in row]
-
-
 def _isomorphism_failures(
-    alg: Algebra, image, target_dim: int, d_image, m_image, residue, product_word: str, image_pairs
+    alg: Algebra, image, target_dim: int, d_image, want_rows, residue, product_word: str
 ) -> list[str]:
     """Witnesses that the basis map i -> image[i] is not a bijection onto a
     basis of target_dim elements, or does not carry the differential and
-    product of alg to d_image(i), a set of images, and m_image(i, j), one
-    image or None for zero: the bijection witness alone, or the first failing
-    basis element and the first failing pair.  residue names a set of images
-    in a witness.
+    product of alg to d_image(i), a set of images, and want_rows: the bijection
+    witness alone, or the first failing basis element and the first failing
+    pair.  residue names a set of images in a witness.
 
-    image_pairs are the pairs where m_image can be nonzero, so the product
-    loop visits the nonzero pairs on either side, row by row, merging a
-    row's two key sets only where they differ; both sides are empty at
-    every other pair.  They are read only once the map is a bijection."""
+    want_rows holds, for each basis index i in order, a dict j -> the image
+    a_i * a_j must map to: the other side's product table pulled back
+    through the inverse map.  It is read only once the map is a bijection.
+    Each row of alg, mapped, is compared whole with its pulled-back row;
+    only a row that differs is searched for its least failing j."""
     n = len(set(image))
     if n != alg.dim or n != target_dim:
         return [f"basis map is not a bijection: {alg.dim} elements, {n} distinct images, {target_dim} targets"]
@@ -780,18 +775,13 @@ def _isomorphism_failures(
         if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
             failures.append(f"differential not intertwined at {alg.describe(i)}: residue {residue(r)}")
             break
-    image_rows: dict[int, set] = {}
-    for i, j in image_pairs:
-        image_rows.setdefault(i, set()).add(j)
-    for i, row in enumerate(alg.products()):
-        js = image_rows.get(i, _ZERO)
-        for j in sorted(row if row.keys() == js else js.union(row)):
-            o = row.get(j)
-            if r := _residue(o if o is None else image[o], m_image(i, j)):
-                failures.append(
-                    f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}"
-                )
-                return failures
+    for i, (row, want) in enumerate(zip(alg.products(), want_rows)):
+        got = {j: image[o] for j, o in row.items()}
+        if got != want:
+            j = min(j for j in got.keys() | want.keys() if got.get(j) != want.get(j))
+            r = _residue(got.get(j), want.get(j))
+            failures.append(f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}")
+            break
     return failures
 
 
@@ -815,8 +805,10 @@ def opposite_algebra_map(ds: DecoratedSurface, k: int, algebra: Algebra | None =
 def opposite_failures(ds: DecoratedSurface, k: int, algebra: Algebra | None = None) -> list[str]:
     """Witnesses that chord reversal is not an isomorphism onto the opposite
     algebra, one that intertwines differentials and transposes every
-    structure constant; empty where it is.  Pass `algebra` to check an
-    already built A(ds, k) and reuse its filled tables."""
+    structure constant; empty where it is.  The reversed algebra's rows are
+    pulled back transposed: a_i * a_j must map to op(a_j) * op(a_i).  Pass
+    `algebra` to check an already built A(ds, k) and reuse its filled
+    tables."""
     try:
         alg, ralg, op = opposite_algebra_map(ds, k, algebra)
     except KeyError:
@@ -824,16 +816,12 @@ def opposite_failures(ds: DecoratedSurface, k: int, algebra: Algebra | None = No
     pre = [0] * ralg.dim
     for i, x in enumerate(op):
         pre[x] = i
-    rrows = ralg.products()
+    want: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+    for u, row in enumerate(ralg.products()):
+        for v, o in row.items():
+            want[pre[v]][pre[u]] = o
     return _isomorphism_failures(
-        alg,
-        op,
-        ralg.dim,
-        lambda i: ralg.diff_basis(op[i]),
-        lambda i, j: rrows[op[j]].get(op[i]),
-        ralg.describe_sum,
-        "transposed",
-        ((pre[v], pre[u]) for u, v in _nonzero_pairs(rrows)),
+        alg, op, ralg.dim, lambda i: ralg.diff_basis(op[i]), want, ralg.describe_sum, "transposed"
     )
 
 
@@ -846,7 +834,9 @@ def consum_failures(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: in
     """Witnesses that the algebra of a boundary connected sum is not the
     direct sum over k1 + k2 = k of tensor products of the summand algebras,
     by a basis bijection intertwining differential and product; empty where
-    it is."""
+    it is.  The product rows compared with the sum algebra's are the tensor
+    products of the summand rows, (a1 (x) a2)(b1 (x) b2) = a1 b1 (x) a2 b2,
+    and zero across two summand pairs."""
     dsum = boundary_connected_sum(ds1, z1, ds2, z2)
     n1 = ds1.n_arcs
     asum = Algebra.from_surface(dsum, k)
@@ -888,38 +878,28 @@ def consum_failures(ds1: DecoratedSurface, ds2: DecoratedSurface, k: int, z1: in
         pair_of.append((k1, a1.index[b1], a2.index[b2]))
 
     index_of = {p: bi for bi, p in enumerate(pair_of)}
-    # the product rows of each summand pair A1(k1) (x) A2(k - k1)
     rows = {k1: (a1.products(), a2.products()) for k1, (a1, a2) in summands.items()}
-    summand_pairs = {k1: (_nonzero_pairs(r1), _nonzero_pairs(r2)) for k1, (r1, r2) in rows.items()}
+    # row bi of the tensor product A1(k1) (x) A2(k - k1), pulled back through
+    # index_of; made as it is read, since index_of covers every summand pair
+    # only where pair_of is a bijection
+    want_rows = (
+        {index_of[k1, j1, j2]: (k1, u, v) for j1, u in rows[k1][0][i1].items() for j2, v in rows[k1][1][i2].items()}
+        for k1, i1, i2 in pair_of
+    )
 
     def d_image(bi):
         k1, i1, i2 = pair_of[bi]
         a1, a2 = summands[k1]
         return {(k1, y, i2) for y in a1.diff_basis(i1)} ^ {(k1, i1, y) for y in a2.diff_basis(i2)}
 
-    def m_image(bi, bj):
-        k1, i1, i2 = pair_of[bi]
-        l1, j1, j2 = pair_of[bj]
-        if k1 != l1:
-            return None
-        rows1, rows2 = rows[k1]
-        u, v = rows1[i1].get(j1), rows2[i2].get(j2)
-        return None if u is None or v is None else (k1, u, v)
-
     return _isomorphism_failures(
         asum,
         pair_of,
         sum(a1.dim * a2.dim for a1, a2 in summands.values()),
         d_image,
-        m_image,
+        want_rows,
         lambda r: asum.describe_sum(index_of[p] for p in r),
         "intertwined",
-        (
-            (index_of[k1, i1, i2], index_of[k1, j1, j2])
-            for k1, (pairs1, pairs2) in summand_pairs.items()
-            for i1, j1 in pairs1
-            for i2, j2 in pairs2
-        ),
     )
 
 

@@ -342,6 +342,15 @@ def test_inconsistent_diagram_is_invalid(text, message):
     assert e.value.code == "invalid"
 
 
+def test_genus_zero_diagram_is_not_negative():
+    """A genus-0 diagram of one marked disc fails on its Euler characteristic,
+    not as a negative genus.  Exists to kill the mutant that reads genus 0
+    as negative (d.genus <= 0 in validate_diagram)."""
+    with pytest.raises(DiagramError, match=re.escape("Euler characteristic 1 does not match genus 0")) as e:
+        validate_diagram(ClosedDiagram(0, (), (Region((), has_z=True),)))
+    assert e.value.code == "invalid"
+
+
 def test_domain_that_does_not_fit_is_a_bad_domain():
     d = s3_diagram()
     with pytest.raises(DiagramError, match="does not match the region count") as e:

@@ -579,6 +579,20 @@ def test_bundled_files_match_builders(name):
     assert built == on_disk
 
 
+def test_typeD_dump_sorts_operations_by_target_then_element():
+    """A type D generator with seven arrows to one target and one element
+    to seven targets dumps each generator's operations by (to, element).
+    Exists to kill the mutants that sort by target alone (key t[1]) or by
+    element alone (key t[0]): each leaves a seven-way tie in frozenset
+    order, which is sorted by chance once in 5040."""
+    alg = Algebra.from_surface(torus_decoration(), 2)  # all 7 elements run from I(0, 1) to I(0, 1)
+    targets = [f"y{n}" for n in range(7)]
+    delta = {"x": frozenset({(a, "y0") for a in range(alg.dim)} | {(0, y) for y in targets})}
+    m = TypeDModule(alg, ("x", *targets), {g: (0, 1) for g in ("x", *targets)}, delta)
+    dumped = [(op["to"], alg.basis_index(op["alg"])) for op in dump_module(m, {})["operations"]]
+    assert len(dumped) == 13
+    assert dumped == sorted(dumped)
+
 
 @pytest.mark.parametrize("kind", ["A", "D"])
 @pytest.mark.parametrize("end", ["from", "to"])

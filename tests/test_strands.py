@@ -1277,9 +1277,10 @@ def test_colliding_summand_index_is_one_bijection_witness(monkeypatch):
     assert not consum_check(TORUS, DISC1, 1)
 
 
-def _sorted_union_failures(alg, image, target_dim, d_image, m_image, residue, product_word, image_pairs):
+def _sorted_union_failures(alg, image, target_dim, d_image, want_rows, residue, product_word):
     """The isomorphism comparison as one scan over the sorted union of both
-    sides' nonzero product pairs: the reference for the row-by-row scan."""
+    sides' nonzero product pairs, one pair at a time: the reference for the
+    row-against-row comparison."""
     n = len(set(image))
     if n != alg.dim or n != target_dim:
         return [f"basis map is not a bijection: {alg.dim} elements, {n} distinct images, {target_dim} targets"]
@@ -1288,9 +1289,10 @@ def _sorted_union_failures(alg, image, target_dim, d_image, m_image, residue, pr
         if r := {image[x] for x in alg.diff_basis(i)} ^ d_image(i):
             failures.append(f"differential not intertwined at {alg.describe(i)}: residue {residue(r)}")
             break
-    rows = alg.products()
-    for i, j in sorted({(i, j) for i, row in enumerate(rows) for j in row}.union(image_pairs)):
-        o, want = rows[i].get(j), m_image(i, j)
+    rows, want_rows = alg.products(), list(want_rows)
+    pairs = {(i, j) for i, row in enumerate(rows) for j in row}
+    for i, j in sorted(pairs.union((i, j) for i, row in enumerate(want_rows) for j in row)):
+        o, want = rows[i].get(j), want_rows[i].get(j)
         if r := ({image[o]} if o is not None else set()) ^ ({want} if want is not None else set()):
             failures.append(f"product not {product_word} at ({alg.describe(i)}, {alg.describe(j)}): residue {residue(r)}")
             break
@@ -1328,14 +1330,24 @@ def test_isomorphism_witnesses_match_the_sorted_union_scan(monkeypatch):
     """One to three seeded corrupted product entries in one row, on either
     side of the opposite check (A(surface, k) or the reversed algebra) and
     of the connected-sum check (the sum algebra or a summand algebra), give
-    the first witness that the sorted-union scan gives."""
-    built = {}
+    the first witness that the sorted-union scan gives.  The n-th build of
+    (surface, k) within one check call gets the n-th algebra made for it, so
+    a surface that is its own reverse still has two distinct algebras."""
+    built, made, calls = {}, [], Counter()
     build = Algebra.from_surface.__func__
 
     def from_surface(cls, ds, k):
-        if (ds, k) not in built:
-            built[ds, k] = build(cls, ds, k)
-        return built[ds, k]
+        n = calls[ds, k]
+        calls[ds, k] += 1
+        algebras = built.setdefault((ds, k), [])
+        if n == len(algebras):
+            algebras.append(build(cls, ds, k))
+            made.append(algebras[n])
+        return algebras[n]
+
+    def run(check, args):
+        calls.clear()
+        return check(*args)
 
     monkeypatch.setattr(Algebra, "from_surface", classmethod(from_surface))
     rng, verdicts = random.Random(28), Counter()
@@ -1345,30 +1357,30 @@ def test_isomorphism_witnesses_match_the_sorted_union_scan(monkeypatch):
     cases += [(consum_failures, args) for args in sums for _ in range(6)]
     for n, (check, args) in enumerate(cases):
         built.clear()
-        assert check(*args) == []  # builds and fills every algebra the check reads
-        count, side = 1 + n % 3, n // 3 % len(built)  # side 0: the algebra checked; else the reversed or a summand one
-        _corrupt_row(list(built.values())[side], count, rng)
-        witness = check(*args)
+        made.clear()
+        assert run(check, args) == []  # builds and fills every algebra the check reads
+        count, side = 1 + n % 3, n // 3 % len(made)  # side 0: the algebra checked; else the reversed or a summand one
+        _corrupt_row(made[side], count, rng)
+        witness = run(check, args)
         with monkeypatch.context() as m:
             m.setattr(strands, "_isomorphism_failures", _sorted_union_failures)
-            assert check(*args) == witness
+            assert run(check, args) == witness
         verdicts[check.__name__, count, side > 0, bool(witness)] += 1
     # (check, entries corrupted, corrupted side is not the algebra checked, witness found)
     assert verdicts == {
-        ("opposite_failures", 1, False, False): 2,
-        ("opposite_failures", 1, False, True): 45,
-        ("opposite_failures", 1, True, True): 45,
-        ("opposite_failures", 2, False, False): 2,
+        ("opposite_failures", 1, False, True): 46,
+        ("opposite_failures", 1, True, True): 46,
+        ("opposite_failures", 2, False, False): 1,
         ("opposite_failures", 2, False, True): 45,
         ("opposite_failures", 2, True, False): 1,
-        ("opposite_failures", 2, True, True): 44,
+        ("opposite_failures", 2, True, True): 45,
         ("opposite_failures", 3, False, True): 46,
         ("opposite_failures", 3, True, True): 45,
-        ("consum_failures", 1, False, True): 4,
-        ("consum_failures", 1, True, True): 8,
-        ("consum_failures", 2, False, True): 4,
+        ("consum_failures", 1, False, True): 1,
+        ("consum_failures", 1, True, True): 11,
+        ("consum_failures", 2, False, True): 1,
         ("consum_failures", 2, True, False): 1,
-        ("consum_failures", 2, True, True): 7,
-        ("consum_failures", 3, False, True): 3,
-        ("consum_failures", 3, True, True): 9,
+        ("consum_failures", 2, True, True): 10,
+        ("consum_failures", 3, False, True): 2,
+        ("consum_failures", 3, True, True): 10,
     }
