@@ -53,7 +53,9 @@ filling the differential and the product rows raises nothing.  A law that meets
 a sum outside the matched span fails with that NotInMatchedSpan as its one line.
 Leibniz and assoc make one GF(2) pass per left factor: every term of either
 side gives an integer code for its factors and itself, and the codes of odd
-count are the residues.
+count are the residues.  They are reported at every pair or triple where the
+table holds a term, composable or not: the fill stores nothing at a key that
+does not compose, so an entry there is a corruption like any other.
 
 Algebra.dump(fp) streams the canonical JSON, json.dumps(d, sort_keys=True) +
 "\n" for the dict d of basis, differential, k, n_arcs and product triples,
@@ -613,23 +615,22 @@ def _odd(codes: list[int]) -> list[int]:
     return sorted(c for c, n in Counter(codes).items() if n & 1)
 
 
-def _residues(odd: list[int], stride: int, keep) -> list[tuple[int, frozenset]]:
+def _residues(odd: list[int], stride: int) -> list[tuple[int, frozenset]]:
     """Read sorted odd codes, each key * stride + z for a term z at a key,
-    as (key, residue) in key order, for the keys kept."""
+    as (key, residue) in key order."""
     out: dict[int, set] = {}
     for code in odd:
         key, z = divmod(code, stride)
-        if keep(key):
-            out.setdefault(key, set()).add(z)
+        out.setdefault(key, set()).add(z)
     return [(key, frozenset(zs)) for key, zs in out.items()]
 
 
 def _leibniz(alg: Algebra, rows) -> list[str]:
     """d(a_i a_j) = (d a_i) a_j + a_i (d a_j), checked in one GF(2) pass per
     left factor i: each term z of any of the three sums gives the code
-    j * dim + z, and the codes of odd count are the residues.  They are read
-    out only where s(j) = t(i)."""
-    dim, basis = alg.dim, alg.basis
+    j * dim + z, and the codes of odd count are the residues, at whatever
+    pair the table holds a term."""
+    dim = alg.dim
     diff = [alg.diff_basis(i) for i in range(dim)]
     # y -> j * dim for every j with y in d(a_j)
     d_into: dict[int, list[int]] = {}
@@ -637,14 +638,13 @@ def _leibniz(alg: Algebra, rows) -> list[str]:
         for y in dj:
             d_into.setdefault(y, []).append(j * dim)
     bad = []
-    for i, b in enumerate(basis):
-        row = rows[i]
+    for i, row in enumerate(rows):
         terms = [jd + z for j, y in row.items() for jd in (j * dim,) for z in diff[y]]  # d(a_i a_j)
         terms += [j * dim + xj for x in diff[i] for j, xj in rows[x].items()]  # (d a_i) a_j
         # a_i (d a_j), read from a_i y for each y and each j with y in d(a_j)
         terms += [jd + iy for y, iy in row.items() for jd in d_into.get(y, ())]
         if odd := _odd(terms):
-            bad += [(i, j, r) for j, r in _residues(odd, dim, lambda j: basis[j].s == b.t)]
+            bad += [(i, j, r) for j, r in _residues(odd, dim)]
             if len(bad) >= 3:
                 break
     return [
@@ -656,9 +656,9 @@ def _leibniz(alg: Algebra, rows) -> list[str]:
 def _assoc(alg: Algebra, rows) -> list[str]:
     """(a_i a_j) a_l = a_i (a_j a_l), checked in one GF(2) pass per left
     factor i: each term z of either side gives the code (j * dim + l) * dim
-    + z, and the codes of odd count are the residues.  They are read out only
-    where s(j) = t(i) and s(l) = t(j)."""
-    dim, basis = alg.dim, alg.basis
+    + z, and the codes of odd count are the residues, at whatever triple the
+    table holds a term."""
+    dim = alg.dim
     # per row x, the code l * dim + z of every term z of every a_x a_l
     codes = [[l * dim + xl for l, xl in row.items()] for row in rows]
     # y -> (j * dim + l) * dim for every (j, l) with a_j a_l = a_y
@@ -668,18 +668,12 @@ def _assoc(alg: Algebra, rows) -> list[str]:
             made_from.setdefault(y, []).append((j * dim + l) * dim)
     dim2 = dim * dim
     bad = []
-    for i, b in enumerate(basis):
-        row = rows[i]
+    for i, row in enumerate(rows):
         terms = [jd + c for j, x in row.items() for jd in (j * dim2,) for c in codes[x]]  # (a_i a_j) a_l
         # a_i (a_j a_l), read from a_i y for each y and each (j, l) with a_j a_l = a_y
         terms += [jl + iy for y, iy in row.items() for jl in made_from.get(y, ())]
         if odd := _odd(terms):
-
-            def composable(jl, t=b.t):
-                j, l = divmod(jl, dim)
-                return basis[j].s == t and basis[l].s == basis[j].t
-
-            bad += [(i, *divmod(jl, dim), r) for jl, r in _residues(odd, dim, composable)]
+            bad += [(i, *divmod(jl, dim), r) for jl, r in _residues(odd, dim)]
             if len(bad) >= 3:
                 break
     return [
@@ -703,8 +697,9 @@ def _idempotents(alg: Algebra, rows) -> list[str]:
                 f"idempotent orthogonality fails on ({alg.describe(a)}, {alg.describe(b)}): "
                 f"residue {alg.describe_sum(residue)}"
             )
-    # a_i sits between I(s) and I(t); its products with every other
-    # idempotent vanish by composability, which orthogonality covers
+    # a_i sits between I(s) and I(t).  Orthogonality reads a_i's products
+    # with the other idempotents only where a_i is one; an entry stored at
+    # any other such key is left to leibniz and assoc
     idem_of = {s: alg.idempotent_index(s) for s in alg.by_source}
     for i, b in enumerate(alg.basis):
         if residue := _residue(rows[idem_of[b.s]].get(i), i) or _residue(rows[i].get(idem_of[b.t]), i):

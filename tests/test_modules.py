@@ -268,6 +268,18 @@ def test_box_depth_exceeded():
     assert box_tensor(*_looping_pair(MAX_DEPTH)).rank == 2
 
 
+def test_a_long_operation_over_short_delta_chains_boxes():
+    """An operation of more than MAX_DEPTH inputs raises nothing where no
+    delta chain reaches MAX_DEPTH arrows: filling_typeD(3)'s longest has 3.
+    Kills the mutant that raises whenever the depth asked for passes
+    MAX_DEPTH, which test_box_depth_exceeded lets through."""
+    m = TypeAModule(ALG, ("x",), {"x": I0}, {("x", (chord(0, 2),) * (MAX_DEPTH + 1)): frozenset(["x"])})
+    n = filling_typeD(3, ALG)
+    c = box_tensor(m, n)
+    assert c.labels == ("x|v",)
+    assert (c.labels, c.differential) == _reference_box(m, n)
+
+
 # ---------------------------------------------------------------------------
 # the box tensor against the per-pair reference
 

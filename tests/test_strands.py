@@ -422,13 +422,13 @@ def _all_pairs_scan(alg):
 
 
 def _reference_laws(alg, checks):
-    """The laws and failure witnesses of check_algebra, computed from the
-    all-pairs scan, with the sum of all idempotents as the unit."""
+    """The laws and failure witnesses of check_algebra, computed one pair or
+    triple at a time, with the sum of all idempotents as the unit.  Closure
+    reads the all-pairs scan; leibniz and assoc read every pair and triple at
+    which a stored entry makes a term of either side nonzero, composable or
+    not."""
     laws, failures = {}, []
     pairs = _all_pairs_scan(alg)
-    after = {i: [] for i in range(alg.dim)}
-    for i, j in pairs:
-        after[i].append(j)
     name, total = alg.describe, alg.describe_sum
     if "closure" in checks:
         laws["closure"] = True
@@ -444,9 +444,18 @@ def _reference_laws(alg, checks):
         bad = [(i, r) for i in range(alg.dim) if (r := alg.diff_support(alg.diff_basis(i)))]
         laws["d2"] = not bad
         failures += [f"d2 fails on {name(i)}: residue {total(r)}" for i, r in bad[:3]]
+    if "leibniz" in checks or "assoc" in checks:
+        rows = alg.products()
+        stored = [(i, j, o) for i, row in enumerate(rows) for j, o in row.items()]
+        left_of = {}  # j -> every i with a stored a_i * a_j
+        for i, j, _ in stored:
+            left_of.setdefault(j, []).append(i)
     if "leibniz" in checks:
+        at = {(i, j) for i, j, _ in stored}  # d(a_i a_j)
+        at |= {(i, j) for i in range(alg.dim) for x in alg.diff_basis(i) for j in rows[x]}  # (d a_i) a_j
+        at |= {(i, j) for j in range(alg.dim) for y in alg.diff_basis(j) for i in left_of.get(y, ())}  # a_i (d a_j)
         bad = []
-        for i, j in pairs:
+        for i, j in sorted(at):
             lhs = alg.diff_support(alg.mul_basis(i, j))
             rhs = alg.mul_support(alg.diff_basis(i), frozenset([j])) ^ alg.mul_support(
                 frozenset([i]), alg.diff_basis(j)
@@ -456,13 +465,14 @@ def _reference_laws(alg, checks):
         laws["leibniz"] = not bad
         failures += [f"leibniz fails on ({name(i)}, {name(j)}): residue {total(r)}" for i, j, r in bad[:3]]
     if "assoc" in checks:
+        at = {(i, j, l) for i, j, x in stored for l in rows[x]}  # (a_i a_j) a_l
+        at |= {(i, j, l) for j, l, y in stored for i in left_of.get(y, ())}  # a_i (a_j a_l)
         bad = []
-        for i, j in pairs:
-            for l in after[j]:
-                lhs = alg.mul_support(alg.mul_basis(i, j), frozenset([l]))
-                rhs = alg.mul_support(frozenset([i]), alg.mul_basis(j, l))
-                if lhs != rhs:
-                    bad.append((i, j, l, lhs ^ rhs))
+        for i, j, l in sorted(at):
+            lhs = alg.mul_support(alg.mul_basis(i, j), frozenset([l]))
+            rhs = alg.mul_support(frozenset([i]), alg.mul_basis(j, l))
+            if lhs != rhs:
+                bad.append((i, j, l, lhs ^ rhs))
         laws["assoc"] = not bad
         failures += [
             f"assoc fails on ({name(i)}, {name(j)}, {name(l)}): residue {total(r)}" for i, j, l, r in bad[:3]
@@ -511,18 +521,15 @@ ALL_LAWS = ("d2", "leibniz", "assoc", "closure", "idempotents")
 
 
 def test_block_index_matches_all_pairs_scan():
-    cases = [(ds, k, ALL_LAWS) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
-    cases += [(double_cover_decoration(3), k, ALL_LAWS) for k in (0, 1, 2)]
-    cases += [(one_disc_decoration(3), k, ALL_LAWS) for k in (0, 1)]
-    # assoc at onedisc_g3 k=2 (dim 1589) visits 2.6 M triples, about 6 s per side
-    cases += [(one_disc_decoration(3), 2, ("d2", "leibniz", "closure", "idempotents"))]
-    for ds, k, laws in cases:
+    cases = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    cases += [(g3, k) for g3 in (double_cover_decoration(3), one_disc_decoration(3)) for k in (0, 1, 2)]
+    for ds, k in cases:
         alg = Algebra.from_surface(ds, k)
         scan = _all_pairs_scan(alg)
         products = {(i, j): o for i, row in enumerate(alg.products()) for j, o in row.items()}
         assert products == {(i, j): o for i, j in scan for o in alg.mul_basis(i, j)}
-        rep = check_algebra(ds, k, checks=laws, algebra=alg)
-        assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
+        rep = check_algebra(ds, k, algebra=alg)
+        assert (rep.laws, rep.failures) == _reference_laws(alg, ALL_LAWS)
         assert rep.ok
         assert _dump_text(alg) == json.dumps(_reference_dump(alg), sort_keys=True) + "\n"
         kept = set(products)
@@ -1191,7 +1198,7 @@ def test_gf2_law_passes_match_reference_on_seeded_flips():
     """On every corpus (surface, k), one seeded flip, taking the kinds of
     _flip in turn (only kind 2 where there is one idempotent, since every
     pair composes there): the GF(2) passes of leibniz and assoc report what
-    the all-pairs reference does."""
+    the one-pair-at-a-time reference does."""
     rng, verdicts = random.Random(18), Counter()
     cases = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
     for n, (ds, k) in enumerate(cases):
@@ -1203,10 +1210,10 @@ def test_gf2_law_passes_match_reference_on_seeded_flips():
         rep = check_algebra(ds, k, checks=laws, algebra=alg)
         assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
         verdicts[kind, rep.ok] += 1
-    # a key that does not compose is never read out, so kind 0 always passes;
-    # every wrong-idempotent replacement is caught
+    # every entry at a key that does not compose and every wrong-idempotent
+    # replacement is caught
     assert len(cases) == 275
-    assert verdicts == {(0, True): 51, (1, False): 41, (2, False): 162, (2, True): 21}
+    assert verdicts == {(0, False): 51, (1, False): 41, (2, False): 164, (2, True): 19}
 
 
 def _lose_product_term(alg):
