@@ -130,14 +130,7 @@ class Algebra:
         # two algebras are the same exactly where their keys are (n_arcs follows from the intervals)
         self.key = (self.interval_arcs, k)
 
-        self.pos_interval: list[int] = []
-        self.pos_index: list[int] = []
-        self.pos_arc: list[int] = []
-        for ii, iv in enumerate(self.interval_arcs):
-            for idx, arc in enumerate(iv):
-                self.pos_interval.append(ii)
-                self.pos_index.append(idx)
-                self.pos_arc.append(arc)
+        self.pos_arc: list[int] = [a for iv in self.interval_arcs for a in iv]
         self.n_positions = len(self.pos_arc)
 
         self.arc_positions: dict[int, tuple[int, ...]] = {}
@@ -148,15 +141,15 @@ class Algebra:
             if len(ps := self.arc_positions.get(a, ())) != 2:
                 raise ValueError(f"arc {a} has {len(ps)} endpoint positions, expected 2")
 
+        # (arc of p, arc of q) -> every chord (p, q), p < q in one interval,
+        # interval by interval and in (p, q) order
         self.chords: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        for ii, iv in enumerate(self.interval_arcs):
-            ps = [p for p in range(self.n_positions) if self.pos_interval[p] == ii]
-            for x in range(len(ps)):
-                for y in range(x + 1, len(ps)):
-                    p, q = ps[x], ps[y]
-                    key = (self.pos_arc[p], self.pos_arc[q])
-                    self.chords.setdefault(key, ())
-                    self.chords[key] += ((p, q),)
+        start = 0
+        for iv in self.interval_arcs:
+            for p, q in itertools.combinations(range(start, start + len(iv)), 2):
+                key = (self.pos_arc[p], self.pos_arc[q])
+                self.chords[key] = self.chords.get(key, ()) + ((p, q),)
+            start += len(iv)
 
         self.basis: tuple[BasisElement, ...] = tuple(self._enumerate_basis())
         self.index: dict[BasisElement, int] = {}
@@ -280,23 +273,6 @@ class Algebra:
             if q1 > (q2 := ends[y]) and not any(q2 < q < q1 for q in ends[x + 1 : y])
         )
         return swaps
-
-    def interpret(self, diagram) -> BasisElement | None:
-        """The unique basis element whose expansion contains the diagram, if
-        any."""
-        moves = {}
-        for p, q in diagram:
-            if self.pos_interval[p] != self.pos_interval[q]:
-                return None
-            if self.pos_index[p] > self.pos_index[q]:
-                return None
-            i = self.pos_arc[p]
-            if i in moves:
-                return None
-            moves[i] = (self.pos_arc[q], None if p == q else (p, q))
-        # two strands ending on one arc repeat a target arc: no basis element
-        b = _basis_element(moves)
-        return b if b in self.index else None
 
     def contract(self, diagrams) -> frozenset:
         """Express a GF(2) sum of diagrams in the matched basis.
@@ -924,32 +900,32 @@ def directedness_check(ds: DecoratedSurface, k: int, algebra: Algebra | None = N
 
 
 def brute_force_dimension(ds: DecoratedSurface, k: int) -> int:
-    """Independent dimension count: enumerate all upward strand diagrams whose
-    sources and targets each meet k distinct arcs, and count the distinct
-    matched interpretations."""
-    alg = Algebra.from_surface(ds, k)
-    per_interval: dict[int, list[int]] = {}
-    for p in range(alg.n_positions):
-        per_interval.setdefault(alg.pos_interval[p], []).append(p)
-
+    """Independent dimension count, read from the surface alone: the positions
+    are the endpoints of ds.intervals() in order, and ds.arcs names the arc of
+    each.  For every k arcs, a strand starts at either endpoint of each and
+    runs upward within its interval to an endpoint whose arc no earlier strand
+    ends on.  Each diagram counts by its matched key, per strand its source
+    arc, target arc and chord (p, q), or None where p = q, a marker, which
+    either endpoint gives.  No Algebra is built."""
+    arc_of = {t: i for i, ends in enumerate(ds.arcs) for t in ends}
+    ends_of: list[list[int]] = [[] for _ in ds.arcs]  # arc -> its positions
+    above: list[list[tuple]] = []  # position p -> (q, arc of q) for each q >= p in its interval
+    for iv in ds.intervals():
+        start = len(above)
+        arc_at = [arc_of[t] for t in iv]
+        for x, i in enumerate(arc_at):
+            ends_of[i].append(start + x)
+            above.append([(start + y, arc_at[y]) for y in range(x, len(iv))])
     seen = set()
-
-    def extend(diagram, srcs_left, used_src_arcs, used_tgt_arcs):
-        if not srcs_left:
-            b = alg.interpret(diagram)
-            if b is not None:
-                seen.add(b)
-            return
-        p, rest = srcs_left[0], srcs_left[1:]
-        for q in per_interval[alg.pos_interval[p]]:
-            if alg.pos_index[q] < alg.pos_index[p]:
-                continue
-            j = alg.pos_arc[q]
-            if j in used_tgt_arcs:
-                continue
-            extend(diagram + [(p, q)], rest, used_src_arcs, used_tgt_arcs | {j})
-
-    for arcs in itertools.combinations(range(alg.n_arcs), k):
-        for pick in itertools.product(*(alg.arc_positions[a] for a in arcs)):
-            extend([], list(pick), set(arcs), set())
+    for arcs in itertools.combinations(range(len(ds.arcs)), k):
+        partial = [((), 0)]  # (keys so far, bitmask of the target arcs used)
+        for i in arcs:
+            partial = [
+                (keys + ((i, j, None if p == q else (p, q)),), used | 1 << j)
+                for keys, used in partial
+                for p in ends_of[i]
+                for q, j in above[p]
+                if not used >> j & 1
+            ]
+        seen.update(keys for keys, _ in partial)
     return len(seen)

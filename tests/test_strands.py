@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 import itertools
@@ -33,6 +34,7 @@ from strandalg.strands import (
     opposite_failures,
 )
 from strandalg.surface import make_surface
+from test_census import TABLE_KINDS
 
 TORUS = torus_decoration()
 DISC1 = disc_with_arc()
@@ -58,6 +60,37 @@ def test_chords_respect_interval_locality():
     ds = make_surface([["z", "e1", "e2", "z", "e3", "e4"]], [["e1", "e2"], ["e3", "e4"]])
     chords = Algebra.from_surface(ds, 0).chords
     assert sum(len(cs) for cs in chords.values()) == 2
+
+
+@functools.cache
+def _interval_of(interval_arcs) -> tuple:
+    """Position -> the number of its interval, read from Algebra.interval_arcs:
+    the intervals hold consecutive position ranges, in order."""
+    return tuple(ii for ii, iv in enumerate(interval_arcs) for _ in iv)
+
+
+def _reference_chords(alg) -> dict:
+    """(arc of p, arc of q) -> the chords (p, q), in (p, q) order: a scan of
+    every position pair p < q, kept where both lie in one interval of
+    alg.interval_arcs."""
+    arc_at = [a for iv in alg.interval_arcs for a in iv]
+    interval = _interval_of(alg.interval_arcs)
+    chords: dict = {}
+    for p, q in itertools.combinations(range(len(arc_at)), 2):
+        if interval[p] == interval[q]:
+            key = (arc_at[p], arc_at[q])
+            chords[key] = chords.get(key, ()) + ((p, q),)
+    return chords
+
+
+def test_chord_table_matches_the_position_pair_scan():
+    """The chord table, tuple order included, on every corpus surface and at
+    genus 3."""
+    surfaces = [ds for _, ds in corpus_surfaces()] + list(GENUS3.values())
+    for ds in surfaces:
+        alg = Algebra.from_surface(ds, 0)
+        assert alg.chords == _reference_chords(alg)
+    assert len(surfaces) == 72 + 2
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +146,11 @@ def test_idempotent_count_is_n_choose_k():
 def _inversions(alg, diagram):
     """The inversion count of a strand diagram: its strand pairs in one
     interval whose starts and ends are in opposite orders."""
-    inv = 0
-    for (p1, q1), (p2, q2) in itertools.combinations(diagram, 2):
-        if alg.pos_interval[p1] != alg.pos_interval[p2]:
-            continue
-        if (alg.pos_index[p1] - alg.pos_index[p2]) * (alg.pos_index[q1] - alg.pos_index[q2]) < 0:
-            inv += 1
-    return inv
+    interval = _interval_of(alg.interval_arcs)
+    return sum(
+        interval[p1] == interval[p2] and (p1 - p2) * (q1 - q2) < 0
+        for (p1, q1), (p2, q2) in itertools.combinations(diagram, 2)
+    )
 
 
 def test_expand_idempotent_two_sections():
@@ -252,9 +283,30 @@ def test_check_algebra_one_disc_g2(k):
 
 
 def test_dimension_formula_against_brute_force():
-    for _, ds in corpus_surfaces()[:20]:
-        for k in range(ds.n_arcs + 1):
-            assert Algebra.from_surface(ds, k).dim == brute_force_dimension(ds, k)
+    pairs = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
+    for ds, k in pairs:
+        assert Algebra.from_surface(ds, k).dim == brute_force_dimension(ds, k)
+    assert len(pairs) == 275
+
+
+def test_brute_force_catches_a_dropped_basis_element(monkeypatch):
+    """An enumeration that loses its last element is one short of the
+    oracle, which reads the surface and not the engine's basis."""
+    enumerate_basis = Algebra._enumerate_basis
+    monkeypatch.setattr(Algebra, "_enumerate_basis", lambda self: list(enumerate_basis(self))[:-1])
+    assert [Algebra.from_surface(TORUS, k).dim for k in (0, 1, 2)] == [0, 7, 6]
+    assert [brute_force_dimension(TORUS, k) for k in (0, 1, 2)] == [1, 8, 7]
+
+
+def test_brute_force_builds_no_algebra(monkeypatch):
+    """The oracle gives its dimensions where no Algebra can be built."""
+
+    def refuse(self, *args):
+        raise AssertionError("the oracle built an Algebra")
+
+    monkeypatch.setattr(Algebra, "__init__", refuse)
+    assert [brute_force_dimension(TORUS, k) for k in (0, 1, 2)] == [1, 8, 7]
+    assert brute_force_dimension(GENUS3["doublecover_g3"], 3) == 5075
 
 
 GENUS3 = {"onedisc_g3": one_disc_decoration(3), "doublecover_g3": double_cover_decoration(3)}
@@ -276,12 +328,13 @@ def test_genus3_dimensions_against_brute_force(name, k):
 
 def _reference_basis(alg):
     """The basis by a scan over every source set s, target set t, bijection f
-    among the permutations of t, and chord choice, realizable or not."""
-    arcs, out = range(alg.n_arcs), []
+    among the permutations of t, and chord choice, realizable or not, with
+    the chords of the position pair scan."""
+    arcs, out, chords = range(alg.n_arcs), [], _reference_chords(alg)
     for s in itertools.combinations(arcs, alg.k):
         for t in itertools.combinations(arcs, alg.k):
             for image in itertools.permutations(t):
-                pools = [[*alg.chords.get((i, j), ()), *([None] if i == j else [])] for i, j in zip(s, image)]
+                pools = [[*chords.get((i, j), ()), *([None] if i == j else [])] for i, j in zip(s, image)]
                 out += [BasisElement(s, t, image, assign) for assign in itertools.product(*pools)]
     return tuple(out)
 
@@ -303,13 +356,14 @@ def test_dimension_formula_matches_chord_table():
     for ds in (TORUS, double_cover_decoration(1)):
         for k in range(ds.n_arcs + 1):
             alg = Algebra.from_surface(ds, k)
+            chords = _reference_chords(alg)
             total = 0
             for s in itertools.combinations(range(ds.n_arcs), k):
                 for t in itertools.combinations(range(ds.n_arcs), k):
                     for image in itertools.permutations(t):
                         prod = 1
                         for i, j in zip(s, image):
-                            prod *= len(alg.chords.get((i, j), ())) + (i == j)
+                            prod *= len(chords.get((i, j), ())) + (i == j)
                         total += prod
             assert total == alg.dim
 
@@ -1177,43 +1231,44 @@ def test_every_single_flip_matches_reference(k):
             row[j] = kept
 
 
-def _flip(alg, kind, rng):
-    """Corrupt a filled table at a seeded place: kind 0 sets a product entry
-    at a key that does not compose, kind 1 replaces a product entry by an
-    element with the wrong idempotents, kind 2 flips a differential term."""
-    basis, dim = alg.basis, alg.dim
-    if kind == 0:
-        i, j = rng.choice([(i, j) for i in range(dim) for j in range(dim) if basis[i].t != basis[j].s])
-        alg._rows[i][j] = rng.randrange(dim)
-    elif kind == 1:
-        i, j = rng.choice([(i, j) for i, row in enumerate(alg._rows) for j in row])
-        wrong = [e for e in range(dim) if (basis[e].s, basis[e].t) != (basis[i].s, basis[j].t)]
-        alg._rows[i][j] = rng.choice(wrong)
-    else:
-        i = rng.randrange(dim)
-        alg._diff[i] = alg.diff_basis(i) ^ {rng.randrange(dim)}
+# the census kinds that the GF(2) passes are compared on
+FLIP_KINDS = (
+    "product entry at a non-composable key",
+    "product entry replaced, wrong idempotents",
+    "differential term added, right idempotents",
+    "differential term deleted",
+)
 
 
 def test_gf2_law_passes_match_reference_on_seeded_flips():
-    """On every corpus (surface, k), one seeded flip, taking the kinds of
-    _flip in turn (only kind 2 where there is one idempotent, since every
-    pair composes there): the GF(2) passes of leibniz and assoc report what
+    """On every corpus (surface, k), one seeded corruption of TABLE_KINDS,
+    the first of FLIP_KINDS, from a seeded one on and round again, that has
+    a place on the table: the GF(2) passes of leibniz and assoc report what
     the one-pair-at-a-time reference does."""
     rng, verdicts = random.Random(18), Counter()
     cases = [(ds, k) for _, ds in corpus_surfaces() for k in range(ds.n_arcs + 1)]
-    for n, (ds, k) in enumerate(cases):
+    for ds, k in cases:
         alg = Algebra.from_surface(ds, k)
         alg.products()
-        kind = n % 3 if len(alg.by_source) > 1 else 2
-        _flip(alg, kind, rng)
-        laws = ("leibniz",) if kind == 2 else ("leibniz", "assoc")  # assoc reads no differential
+        for i in range(alg.dim):
+            alg.diff_basis(i)
+        turn = rng.randrange(len(FLIP_KINDS))
+        kind = next(kind for kind in FLIP_KINDS[turn:] + FLIP_KINDS[:turn] if TABLE_KINDS[kind](alg, rng))
+        laws = ("leibniz",) if kind.startswith("differential") else ("leibniz", "assoc")  # assoc reads no differential
         rep = check_algebra(ds, k, checks=laws, algebra=alg)
         assert (rep.laws, rep.failures) == _reference_laws(alg, laws)
         verdicts[kind, rep.ok] += 1
+    assert len(cases) == 275
     # every entry at a key that does not compose and every wrong-idempotent
     # replacement is caught
-    assert len(cases) == 275
-    assert verdicts == {(0, False): 51, (1, False): 41, (2, False): 164, (2, True): 19}
+    assert verdicts == {
+        ("product entry at a non-composable key", False): 41,
+        ("product entry replaced, wrong idempotents", False): 38,
+        ("differential term added, right idempotents", False): 157,
+        ("differential term added, right idempotents", True): 16,
+        ("differential term deleted", False): 20,
+        ("differential term deleted", True): 3,
+    }
 
 
 def _lose_product_term(alg):
