@@ -373,21 +373,6 @@ def algebra_as_module(alg: Algebra) -> TypeAModule:
 # pairings
 
 
-def _delta_chains(n: TypeDModule, y, depth: int) -> list:
-    """Every delta chain out of y of length 0 to depth, as (labels, end);
-    DepthExceeded if a chain of length MAX_DEPTH would be extended."""
-    delta = n.delta
-    level = chains = [((), y)]
-    for j in range(1, depth + 1):
-        if j > MAX_DEPTH:
-            raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
-        level = [(args + (a,), y2) for args, yy in level for a, y2 in delta.get(yy, ())]
-        if not level:
-            break
-        chains = chains + level
-    return chains
-
-
 def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
     """Box tensor product: generators are idempotent-matched pairs, the
     differential feeds the delta chains of the type D side, of length 0 to
@@ -426,7 +411,15 @@ def box_tensor(m: TypeAModule, n: TypeDModule) -> ChainComplex:
         xs = xs_at.get(n.idem[y])
         if not xs:
             continue
-        chains = [(args, pos[yy], n.idem[yy], yy) for args, yy in _delta_chains(n, y, depth)]
+        # every delta chain out of y of length 0 to depth, as (labels, pos[end], idem[end], end)
+        level = chains = [((), pos[y], n.idem[y], y)]
+        for j in range(1, depth + 1):
+            if j > MAX_DEPTH:
+                raise DepthExceeded(f"delta iteration exceeded depth {MAX_DEPTH}")
+            level = [(args + (a,), pos[y2], n.idem[y2], y2) for args, _, _, yy in level for a, y2 in n.delta.get(yy, ())]
+            if not level:
+                break
+            chains += level
         for x in xs:
             mask = 0
             for args, at, end, yy in chains:

@@ -120,8 +120,8 @@ class Algebra:
     """The algebra attached to an interval structure, a matching, and k."""
 
     def __init__(self, interval_arcs, k: int):
-        """interval_arcs: per interval, the arc index at each position.  A k
-        outside 0..n_arcs raises InputError with code ``bad-k``."""
+        """interval_arcs: per interval, the arc index at each position.  InputError
+        codes: ``bad-k`` for a k outside 0..n_arcs, ``bad-arc`` for an arc not at two positions."""
         self.interval_arcs = tuple(tuple(iv) for iv in interval_arcs)
         self.n_arcs = max((a + 1 for iv in self.interval_arcs for a in iv), default=0)
         if not 0 <= k <= self.n_arcs:
@@ -139,7 +139,7 @@ class Algebra:
             self.arc_positions[a] += (p,)
         for a in range(self.n_arcs):
             if len(ps := self.arc_positions.get(a, ())) != 2:
-                raise ValueError(f"arc {a} has {len(ps)} endpoint positions, expected 2")
+                raise InputError("bad-arc", f"arc {a} has {len(ps)} endpoint positions, expected 2")
 
         # (arc of p, arc of q) -> every chord (p, q), p < q in one interval,
         # interval by interval and in (p, q) order
@@ -541,11 +541,7 @@ class Algebra:
 
 
 def _interval_arcs(ds: DecoratedSurface) -> tuple:
-    arc_of = {}
-    for i, (a, b) in enumerate(ds.arcs):
-        arc_of[a] = i
-        arc_of[b] = i
-    return tuple(tuple(arc_of[t] for t in iv) for iv in ds.intervals())
+    return tuple(tuple(map(ds.arc_of, iv)) for iv in ds.intervals())
 
 
 def _algebra_of(ds: DecoratedSurface, k: int, algebra: Algebra | None) -> Algebra:
@@ -906,7 +902,10 @@ def brute_force_dimension(ds: DecoratedSurface, k: int) -> int:
     runs upward within its interval to an endpoint whose arc no earlier strand
     ends on.  Each diagram counts by its matched key, per strand its source
     arc, target arc and chord (p, q), or None where p = q, a marker, which
-    either endpoint gives.  No Algebra is built."""
+    either endpoint gives.  No Algebra is built.  A negative k raises
+    InputError with code ``bad-k``; a k above the arc count gives 0."""
+    if k < 0:
+        raise InputError("bad-k", f"k={k} is negative")
     arc_of = {t: i for i, ends in enumerate(ds.arcs) for t in ends}
     ends_of: list[list[int]] = [[] for _ in ds.arcs]  # arc -> its positions
     above: list[list[tuple]] = []  # position p -> (q, arc of q) for each q >= p in its interval

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .inputs import InputError
 
@@ -30,6 +31,14 @@ def _is_endpoint(tok: str) -> bool:
     return tok != Z
 
 
+def _runs(circle: tuple[str, ...], stop):
+    """(i, run) for each node i of circle with stop(circle[i]), where run is
+    the nodes after it up to the next such node, cyclically."""
+    at = [i for i, t in enumerate(circle) if stop(t)]
+    for i, j in zip(at, at[1:] + at[:1]):
+        yield i, circle[i + 1 : j] if i < j else circle[i + 1 :] + circle[:j]
+
+
 @dataclass(frozen=True)
 class DecoratedSurface:
     """Immutable combinatorial (surface, marked points, arcs) triple.
@@ -38,6 +47,9 @@ class DecoratedSurface:
     arcs: n unordered endpoint pairs, stored sorted.
     face_genus: optional (face index, genus) overrides; face indices refer to
         the deterministic tracing order of :func:`analyze_surface`.
+
+    The endpoint lookups read two tables built once per surface and kept
+    off the fields, so equality, hashing and repr see the fields alone.
     """
 
     circles: tuple[tuple[str, ...], ...]
@@ -64,14 +76,21 @@ class DecoratedSurface:
             if t == Z
         )
 
+    @cached_property
+    def _arc_at(self) -> dict[str, int]:
+        """endpoint -> index of its arc"""
+        return {t: i for i, pair in enumerate(self.arcs) for t in pair}
+
+    @cached_property
+    def _node_at(self) -> dict[str, tuple[int, int]]:
+        """endpoint -> (circle, node index)"""
+        return {t: (ci, ni) for ci, c in enumerate(self.circles) for ni, t in enumerate(c) if _is_endpoint(t)}
+
     def arc_of(self, endpoint: str) -> int:
-        for i, (a, b) in enumerate(self.arcs):
-            if endpoint in (a, b):
-                return i
-        raise KeyError(endpoint)
+        return self._arc_at[endpoint]
 
     def other_end(self, endpoint: str) -> str:
-        a, b = self.arcs[self.arc_of(endpoint)]
+        a, b = self.arcs[self._arc_at[endpoint]]
         return b if endpoint == a else a
 
     def intervals(self) -> tuple[tuple[str, ...], ...]:
@@ -80,20 +99,7 @@ class DecoratedSurface:
         Every circle carries at least one mark, so each run is linearly
         ordered by the boundary orientation.  Empty runs are dropped.
         """
-        runs = []
-        for circle in self.circles:
-            zs = [i for i, t in enumerate(circle) if t == Z]
-            m = len(circle)
-            for j, zi in enumerate(zs):
-                nxt = zs[(j + 1) % len(zs)]
-                run = []
-                i = (zi + 1) % m
-                while i != nxt:
-                    run.append(circle[i])
-                    i = (i + 1) % m
-                if run:
-                    runs.append(tuple(run))
-        return tuple(runs)
+        return tuple(run for c in self.circles for _, run in _runs(c, Z.__eq__) if run)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +193,6 @@ def _validate(ds: DecoratedSurface):
     # The surface must be connected: the circles-joined-by-arcs graph has one
     # component.
     if len(ds.circles) > 1:
-        circle_of = {
-            t: ci for ci, c in enumerate(ds.circles) for t in c if _is_endpoint(t)
-        }
         parent = list(range(len(ds.circles)))
 
         def find(x):
@@ -199,7 +202,7 @@ def _validate(ds: DecoratedSurface):
             return x
 
         for a, b in ds.arcs:
-            parent[find(circle_of[a])] = find(circle_of[b])
+            parent[find(ds._node_at[a][0])] = find(ds._node_at[b][0])
         if len({find(ci) for ci in range(len(ds.circles))}) > 1:
             raise SurfaceError("disconnected", "the circles are not joined by arcs")
 
@@ -255,47 +258,28 @@ class SurfaceReport:
     single_disc_faces: bool  # every face is a disc with <= 1 marked point
 
 
-def _segments(ds: DecoratedSurface):
-    """Directed boundary segments between consecutive endpoints.
-
-    Returns ({start endpoint: (circle, start node idx)}, {key: (end endpoint,
-    z count)}, standalone) where key identifies a segment by its start and
-    standalone lists circles without endpoints.
-    """
-    seg_from: dict[str, tuple[int, int]] = {}
-    seg_data: dict[str, tuple[str, int]] = {}
-    standalone = []
-    for ci, circle in enumerate(ds.circles):
-        eps = [i for i, t in enumerate(circle) if _is_endpoint(t)]
-        if not eps:
-            standalone.append(ci)
-            continue
-        m = len(circle)
-        for j, i0 in enumerate(eps):
-            i1 = eps[(j + 1) % len(eps)]
-            zc = 0
-            i = (i0 + 1) % m
-            while i != i1:
-                zc += 1  # only z nodes can sit strictly between endpoints
-                i = (i + 1) % m
-            seg_from[circle[i0]] = (ci, i0)
-            seg_data[circle[i0]] = (circle[i1], zc)
-    return seg_from, seg_data, standalone
-
-
 def analyze_surface(ds: DecoratedSurface) -> SurfaceReport:
     """Trace the complement faces and derive genus and validity flags.
 
-    Each directed boundary segment is used exactly once; an arc is crossed
-    once in each direction.  Faces are reported in the deterministic order of
-    their smallest starting segment.
+    Each directed boundary segment, from one endpoint to the next, is used
+    exactly once; an arc is crossed once in each direction.  Faces are
+    ordered by their smallest starting endpoint token in string order, then
+    come the circles with no endpoint, in circle order; face_genus indexes
+    faces in this order.
     """
-    seg_from, seg_data, standalone = _segments(ds)
+    # start endpoint -> (circle, start node index, end endpoint, z count);
+    # only z nodes sit strictly between consecutive endpoints
+    segments = {
+        circle[ni]: (ci, ni, circle[(ni + len(run) + 1) % len(circle)], len(run))
+        for ci, circle in enumerate(ds.circles)
+        for ni, run in _runs(circle, _is_endpoint)
+    }
+    standalone = [ci for ci, c in enumerate(ds.circles) if all(t == Z for t in c)]
     overrides = dict(ds.face_genus)
     faces = []
     used: set[str] = set()
 
-    for start in sorted(seg_from):
+    for start in sorted(segments):
         if start in used:
             continue
         word = []
@@ -303,8 +287,7 @@ def analyze_surface(ds: DecoratedSurface) -> SurfaceReport:
         cur = start
         while True:
             used.add(cur)
-            ci, ni = seg_from[cur]
-            end, z_here = seg_data[cur]
+            ci, ni, end, z_here = segments[cur]
             word.append(("seg", ci, ni))
             zc += z_here
             other = ds.other_end(end)
@@ -314,9 +297,7 @@ def analyze_surface(ds: DecoratedSurface) -> SurfaceReport:
                 break
         faces.append((tuple(word), zc))
 
-    for ci in standalone:
-        zc = sum(1 for t in ds.circles[ci] if t == Z)
-        faces.append(((("seg", ci, 0),), zc))
+    faces += [((("seg", ci, 0),), len(ds.circles[ci])) for ci in standalone]
 
     bad = [fi for fi in overrides if fi >= len(faces)]
     if bad:
@@ -403,11 +384,10 @@ def boundary_connected_sum(
 
 
 def _locate(ds: DecoratedSurface, endpoint: str) -> tuple[int, int]:
-    for ci, c in enumerate(ds.circles):
-        for ni, t in enumerate(c):
-            if t == endpoint:
-                return ci, ni
-    raise SurfaceError("no-such-endpoint", f"endpoint {endpoint!r} not on any circle")
+    """(circle, node index) of endpoint."""
+    if endpoint not in ds._node_at:
+        raise SurfaceError("no-such-endpoint", f"endpoint {endpoint!r} not on any circle")
+    return ds._node_at[endpoint]
 
 
 def slide_options(ds: DecoratedSurface) -> list[tuple[int, int, str]]:
@@ -449,18 +429,15 @@ def arc_slide(ds: DecoratedSurface, i: int, j: int, end: str) -> DecoratedSurfac
         )
     q_far = ds.other_end(nxt)
 
-    taken = set(ds.endpoints)
     k = 0
-    while f"e_s{k}" in taken:
+    while f"e_s{k}" in ds._node_at:
         k += 1
     fresh = f"e_s{k}"
 
     circles = [list(c) for c in ds.circles]
     circles[ci].pop(ni)
-    fc, fn = next(
-        (a, b) for a, c in enumerate(circles) for b, t in enumerate(c) if t == q_far
-    )
-    circles[fc].insert(fn + 1, fresh)
+    fc = _locate(ds, q_far)[0]
+    circles[fc].insert(circles[fc].index(q_far) + 1, fresh)
 
     keep = ds.other_end(end)
     arcs = list(ds.arcs)

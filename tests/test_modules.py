@@ -387,7 +387,7 @@ def test_box_evaluates_each_action_once(monkeypatch):
     evaluate = TypeAModule.evaluate
     monkeypatch.setattr(TypeAModule, "evaluate", lambda self, x, args: calls.append((x, args)) or evaluate(self, x, args))
     c = box_tensor(m, n)
-    assert len(calls) == len(set(calls)) < sum(1 for y in n.generators for _ in modules._delta_chains(n, y, 1))
+    assert len(calls) == len(set(calls)) < sum(1 + len(n.delta_of(y)) for y in n.generators)
     monkeypatch.undo()
     assert (c.labels, c.differential) == _reference_box(m, n)
 

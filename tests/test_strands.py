@@ -126,8 +126,9 @@ def test_k_out_of_range():
     "interval_arcs, arc, count", [(((0, 1, 0),), 1, 1), (((0, 2, 0, 2),), 1, 0)], ids=["one-end", "missing-arc"]
 )
 def test_each_arc_needs_two_positions(interval_arcs, arc, count):
-    with pytest.raises(ValueError, match=f"arc {arc} has {count} endpoint positions"):
+    with pytest.raises(ValueError, match=f"arc {arc} has {count} endpoint positions") as e:
         Algebra(interval_arcs, 0)
+    assert e.value.code == "bad-arc"
 
 
 def test_idempotent_count_is_n_choose_k():
@@ -307,6 +308,13 @@ def test_brute_force_builds_no_algebra(monkeypatch):
     monkeypatch.setattr(Algebra, "__init__", refuse)
     assert [brute_force_dimension(TORUS, k) for k in (0, 1, 2)] == [1, 8, 7]
     assert brute_force_dimension(GENUS3["doublecover_g3"], 3) == 5075
+
+
+def test_brute_force_refuses_a_negative_k():
+    with pytest.raises(ValueError, match="k=-1 is negative") as e:
+        brute_force_dimension(TORUS, -1)
+    assert e.value.code == "bad-k"
+    assert brute_force_dimension(TORUS, 3) == 0
 
 
 GENUS3 = {"onedisc_g3": one_disc_decoration(3), "doublecover_g3": double_cover_decoration(3)}

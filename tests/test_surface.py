@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strandalg.acceptance import SEED
 from strandalg.corpus import (
     corpus_surfaces,
     disc,
@@ -15,6 +18,7 @@ from strandalg.corpus import (
 from strandalg.strands import Algebra
 from strandalg.surface import (
     SurfaceError,
+    _locate,
     analyze_surface,
     arc_slide,
     boundary_connected_sum,
@@ -22,6 +26,7 @@ from strandalg.surface import (
     parse_surface,
     reverse_orientation,
     serialize_surface,
+    slide_options,
 )
 
 TORUS = torus_decoration()
@@ -262,6 +267,57 @@ def test_arc_slide_preconditions():
     with pytest.raises(SurfaceError) as e:
         arc_slide(TORUS, 1, 0, "e4")  # e4 is followed by z
     assert e.value.code == "not-adjacent"
+
+
+
+def test_endpoint_lookups_reject_a_non_endpoint():
+    with pytest.raises(KeyError):
+        TORUS.arc_of("e9")
+    with pytest.raises(KeyError):
+        TORUS.arc_of("z")
+    with pytest.raises(SurfaceError) as e:
+        _locate(TORUS, "e9")
+    assert e.value.code == "no-such-endpoint"
+    assert str(e.value) == "endpoint 'e9' not on any circle"
+
+
+def test_endpoint_tables_stay_off_the_fields():
+    ds = make_surface(TORUS.circles, TORUS.arcs)
+    before = (repr(ds), hash(ds), serialize_surface(ds))
+    assert (ds.arc_of("e1"), ds.other_end("e1"), _locate(ds, "e3")) == (0, "e3", (0, 3))
+    assert (repr(ds), hash(ds), serialize_surface(ds)) == before
+    assert ds == TORUS
+
+
+def _seeded_slides():
+    """The 100 slid surfaces of acceptance.randomized_invariants, drawn from
+    its seed in the same order."""
+    rng = random.Random(SEED)
+    pool = [ds for _, ds in corpus_surfaces() if ds.n_arcs >= 2]
+    slid = []
+    while len(slid) < 100:
+        ds = rng.choice(pool)
+        if options := slide_options(ds):
+            slid.append(arc_slide(ds, *rng.choice(options)))
+    return slid
+
+
+def _surface_text(ds) -> str:
+    rep = analyze_surface(ds)
+    faces = [(f.word, f.z_count, f.genus) for f in rep.faces]
+    return f"{ds.intervals()!r} {faces!r} {rep.genus} {rep.euler}\n"
+
+
+def test_surface_layer_keeps_its_digest():
+    """Intervals, faces in tracing order (word, z count, genus), genus and
+    Euler characteristic of every corpus surface, both genus-3 decorations
+    and the 100 seeded slides, and the serialization of each slid surface."""
+    h = hashlib.sha256()
+    for ds in [ds for _, ds in corpus_surfaces()] + [one_disc_decoration(3), double_cover_decoration(3)]:
+        h.update(_surface_text(ds).encode())
+    for out in _seeded_slides():
+        h.update((serialize_surface(out) + " " + _surface_text(out)).encode())
+    assert h.hexdigest() == "c14f8ff5ab47e59e22218efbaee1aff2db4fbf40cdfda585f1014f4a12e7942d"
 
 
 @st.composite
