@@ -269,7 +269,6 @@ def test_arc_slide_preconditions():
     assert e.value.code == "not-adjacent"
 
 
-
 def test_endpoint_lookups_reject_a_non_endpoint():
     with pytest.raises(KeyError):
         TORUS.arc_of("e9")
